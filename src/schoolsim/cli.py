@@ -274,6 +274,10 @@ def run_cmd(
         raise click.ClickException(
             f"run aborted ({exc}); resume with --resume --out {out}"
         )
+    except ValueError as exc:
+        if not resume:
+            raise
+        raise click.ClickException(f"cannot resume {out}: {exc}")
     click.echo(f"config {config.id}: {len(log.entries)} steps -> {out_dir / LOG_FILENAME}")
     click.echo(f"log digest: {log.digest()}")
 

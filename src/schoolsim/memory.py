@@ -44,6 +44,7 @@ DEFAULT_SHORT_TERM_CAPACITY = 32
 DEFAULT_SALIENCE_DECAY = 0.99
 LONG_TERM_SALIENCE = 0.5
 SHORT_TERM_SALIENCE = 1.0
+STORE_FORMAT = "memory-store-v2"
 
 
 class MemoryKind(Enum):
@@ -316,38 +317,55 @@ class MemoryStore:
         )
         return short_segment + long_segment
 
-    # Persistence: meta line then one JSON record per line, key order
+    # Persistence. A store file is append-only: one header line with the
+    # fields that never change, then one JSON record per line with key order
     # id, kind, day, slot, salience, text, vector (base64 little-endian f64).
+    # The fields that do change (short-term ids, ``now`` and the counters)
+    # are not in the file; ``state()`` returns them for the caller to keep.
 
-    def save(self, path: str | Path) -> None:
-        meta = {
-            "format": "memory-store-v1",
-            "agent_id": self.agent_id,
-            "dim": self.embedder.dim,
-            "capacity": self.capacity,
-            "decay": self.decay,
-            "now": self._now.as_dict(),
+    def state(self) -> dict:
+        return {
             "short_term": list(self._short_term),
+            "now": self._now.as_dict(),
+            "counters": dict(self.counters),
         }
-        lines = [json.dumps(meta, ensure_ascii=False)]
-        for record in self._records:
-            lines.append(
-                json.dumps(
-                    {
-                        "id": record.id,
-                        "kind": record.kind.value,
-                        "day": record.created_at.day,
-                        "slot": record.created_at.slot.label,
-                        "salience": record.salience,
-                        "text": record.text,
-                        "vector": base64.b64encode(
-                            record.embedding.astype("<f8").tobytes()
-                        ).decode("ascii"),
-                    },
-                    ensure_ascii=False,
-                )
+
+    def save(self, path: str | Path, start: int = 0) -> int:
+        """Append the records from id ``start`` on to ``path``.
+
+        A missing or empty file gets the header line first. Returns the
+        number of bytes written.
+        """
+        lines = [
+            json.dumps(
+                {
+                    "id": record.id,
+                    "kind": record.kind.value,
+                    "day": record.created_at.day,
+                    "slot": record.created_at.slot.label,
+                    "salience": record.salience,
+                    "text": record.text,
+                    "vector": base64.b64encode(
+                        record.embedding.astype("<f8").tobytes()
+                    ).decode("ascii"),
+                },
+                ensure_ascii=False,
             )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            for record in self._records[start:]
+        ]
+        with open(path, "ab") as handle:
+            if handle.tell() == 0:
+                header = {
+                    "format": STORE_FORMAT,
+                    "agent_id": self.agent_id,
+                    "dim": self.embedder.dim,
+                    "capacity": self.capacity,
+                    "decay": self.decay,
+                }
+                lines.insert(0, json.dumps(header, ensure_ascii=False))
+            data = "".join(line + "\n" for line in lines).encode("utf-8")
+            handle.write(data)
+        return len(data)
 
     @classmethod
     def load(
@@ -355,23 +373,28 @@ class MemoryStore:
         path: str | Path,
         config: SimulationConfig,
         embedder: Embedder,
+        state: dict | None = None,
+        length: int | None = None,
     ) -> "MemoryStore":
+        """Read a store file, or its first ``length`` bytes, and apply
+        ``state`` (as returned by :meth:`state`) when given."""
         from .environment import Slot
 
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-        meta = json.loads(lines[0])
-        if meta.get("format") != "memory-store-v1":
-            raise ValueError(f"unknown snapshot format in {path}")
+        lines = read_prefix(path, length).decode("utf-8").splitlines()
+        header = json.loads(lines[0]) if lines else {}
+        if header.get("format") != STORE_FORMAT:
+            raise ValueError(
+                f"{path}: store format {header.get('format')!r} is not "
+                f"{STORE_FORMAT!r}; snapshots from older versions cannot be loaded"
+            )
         store = cls(
-            meta["agent_id"],
+            header["agent_id"],
             config,
             embedder,
-            capacity=meta["capacity"],
-            decay=meta["decay"],
+            capacity=header["capacity"],
+            decay=header["decay"],
         )
         for line in lines[1:]:
-            if not line.strip():
-                continue
             row = json.loads(line)
             record = MemoryRecord(
                 id=row["id"],
@@ -383,16 +406,27 @@ class MemoryStore:
                 created_at=SimTime.at(row["day"], Slot.from_label(row["slot"])),
                 salience=row["salience"],
             )
-            # Record id doubles as the list index; the snapshot preserves order.
+            # Record id doubles as the list index; the file preserves order.
             if record.id != len(store._records):
-                raise ValueError(f"snapshot records out of order at id {record.id}")
+                raise ValueError(f"store records out of order at id {record.id}")
             store._records.append(record)
         store._next_id = len(store._records)
-        store._short_term = list(meta["short_term"])
-        store._now = SimTime.at(
-            meta["now"]["day"], Slot.from_label(meta["now"]["slot"])
-        )
+        if state is not None:
+            store._short_term = list(state["short_term"])
+            store._now = SimTime.at(
+                state["now"]["day"], Slot.from_label(state["now"]["slot"])
+            )
+            store.counters = dict(state["counters"])
         missing = [rid for rid in store._short_term if rid >= len(store._records)]
         if missing:
             raise ValueError(f"short-term ids without records: {missing}")
         return store
+
+
+def read_prefix(path: str | Path, length: int | None = None) -> bytes:
+    """The whole file, or exactly its first ``length`` bytes."""
+    with open(path, "rb") as handle:
+        data = handle.read(-1 if length is None else length)
+    if length is not None and len(data) != length:
+        raise ValueError(f"{path} holds {len(data)} bytes, fewer than {length}")
+    return data

@@ -18,7 +18,9 @@ import datetime as _dt
 import hashlib
 import json
 import logging
+import os
 import re
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -27,8 +29,7 @@ from .agent import (
     RoleSetting,
     WorkingMemory,
     assemble_prompt,
-    load_role,
-    save_role,
+    parse_role_text,
     serialize_role,
     update_role_setting,
 )
@@ -58,6 +59,7 @@ from .memory import (
     MemoryStore,
     MemoryUpdate,
     RetrievalPolicy,
+    read_prefix,
 )
 from .prompts import MEMORY_UPDATE_HEADER, MEMORY_UPDATE_TEMPLATE, ROLE_UPDATE_HEADER
 
@@ -66,6 +68,8 @@ logger = logging.getLogger(__name__)
 LOG_FILENAME = "log.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 CHECKPOINT_DIRNAME = "checkpoint"
+STATE_FILENAME = "state.json"
+CHECKPOINT_FORMAT = "checkpoint-v2"
 
 
 @dataclass(frozen=True)
@@ -160,17 +164,19 @@ class InteractionLog:
         return [entry.response for entry in self.entries]
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps({"meta": self.meta}, ensure_ascii=False, sort_keys=True)]
-        lines.extend(
-            json.dumps(entry.as_dict(), ensure_ascii=False) for entry in self.entries
-        )
-        return "\n".join(lines) + "\n"
+        return _log_lines(self.meta, self.entries)
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_jsonl(), encoding="utf-8")
+
+def _log_lines(meta: dict | None, entries: list[InteractionLogEntry]) -> str:
+    """The log text of the meta line (when given) and then ``entries``."""
+    lines = [] if meta is None else [
+        json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True)
+    ]
+    lines.extend(json.dumps(entry.as_dict(), ensure_ascii=False) for entry in entries)
+    return "".join(line + "\n" for line in lines)
 
 
 def load_log(path: str | Path) -> tuple[dict, list[dict]]:
@@ -240,6 +246,7 @@ class Simulation:
         self.config = config
         self.seed = seed
         self.params = params or RunParams()
+        self.dataset_digest = dataset.digest()
         self.role_update_slot = role_update_slot
         self.gen_params = GenParams(
             temperature=self.params.temperature,
@@ -278,6 +285,13 @@ class Simulation:
             "memory_update_parse_failures": 0,
             "rejected_moves": 0,
         }
+        # What the run directory holds so far: bytes of log.jsonl and of each
+        # store file, log entries and store records written, the log's hash.
+        self._log_bytes = 0
+        self._logged_entries = 0
+        self._log_hash = hashlib.sha256()
+        self._store_bytes = {agent_id: 0 for agent_id in dataset.agent_ids}
+        self._stored_records = {agent_id: 0 for agent_id in dataset.agent_ids}
 
     # Aggregated instrumentation for the manifest
 
@@ -294,7 +308,7 @@ class Simulation:
                 "config": self.config.as_dict(),
                 "provider": self.provider.name,
                 "seed": self.seed,
-                "dataset": self.dataset.digest(),
+                "dataset": self.dataset_digest,
                 "params": self.params.as_dict(),
             },
             sort_keys=True,
@@ -307,7 +321,7 @@ class Simulation:
             "config": self.config.as_dict(),
             "provider": self.provider.name,
             "seed": self.seed,
-            "dataset_digest": self.dataset.digest(),
+            "dataset_digest": self.dataset_digest,
             "params": self.params.as_dict(),
         }
 
@@ -449,7 +463,10 @@ class Simulation:
     def run(self, out_dir: str | Path | None = None, jobs: int = 1) -> InteractionLog:
         out_path = Path(out_dir) if out_dir else None
         if out_path:
-            out_path.mkdir(parents=True, exist_ok=True)
+            if not self._log_bytes:
+                # A fresh run: the store files must start empty.
+                shutil.rmtree(out_path / CHECKPOINT_DIRNAME, ignore_errors=True)
+            (out_path / CHECKPOINT_DIRNAME / "stores").mkdir(parents=True, exist_ok=True)
         try:
             for group in self._slot_groups(self.completed_steps):
                 self._run_slot(group, jobs)
@@ -502,72 +519,149 @@ class Simulation:
             "update_provider": self.update_provider.name,
             "seed": self.seed,
             "params": self.params.as_dict(),
-            "dataset_digest": self.dataset.digest(),
+            "dataset_digest": self.dataset_digest,
             "completed_steps": self.completed_steps,
             "total_steps": len(self.dataset.steps),
             "counters": self.aggregate_counters(),
-            "log_digest": self.log().digest(),
+            "log_digest": self._log_hash.hexdigest(),
             "written_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
             "outputs": outputs,
         }
 
     def _write_outputs(self, out_path: Path, status: str) -> None:
-        self.log().save(out_path / LOG_FILENAME)
+        self._append_log(out_path)
         manifest = self.manifest(status, out_path)
         (out_path / MANIFEST_FILENAME).write_text(
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
-    def save_checkpoint(self, out_path: Path) -> None:
-        ckpt = out_path / CHECKPOINT_DIRNAME
-        (ckpt / "stores").mkdir(parents=True, exist_ok=True)
-        (ckpt / "roles").mkdir(parents=True, exist_ok=True)
-        for agent_id, store in self.stores.items():
-            store.save(ckpt / "stores" / f"{agent_id}.mem")
-        for agent_id, role in self.roles.items():
-            save_role(role, ckpt / "roles" / f"{agent_id}.txt")
-        state = {
-            "completed_steps": self.completed_steps,
+    def _append_log(self, out_path: Path) -> None:
+        """Append the entries not yet in log.jsonl, after its meta line."""
+        meta = None if self._log_bytes else self.log_meta()
+        new_entries = self.entries[self._logged_entries :]
+        if meta is None and not new_entries:
+            return
+        data = _log_lines(meta, new_entries).encode("utf-8")
+        with open(out_path / LOG_FILENAME, "ab" if self._log_bytes else "wb") as handle:
+            handle.write(data)
+        self._log_hash.update(data)
+        self._log_bytes += len(data)
+        self._logged_entries = len(self.entries)
+
+    def _identity(self) -> dict:
+        """What a resumed run must share with the run that wrote the checkpoint."""
+        return {
+            "dataset_digest": self.dataset_digest,
             "config": self.config.as_dict(),
             "seed": self.seed,
             "params": self.params.as_dict(),
-            "dataset_digest": self.dataset.digest(),
+            "provider": self.provider.name,
+        }
+
+    def save_checkpoint(self, out_path: Path) -> None:
+        """Append what the last slot added, then commit it in state.json.
+
+        The log and the store files only grow. state.json, replaced
+        atomically, is the commit point: it records how many bytes of each
+        belong to the checkpoint, so a save that fails before its commit
+        leaves the previous checkpoint intact.
+        """
+        ckpt = out_path / CHECKPOINT_DIRNAME
+        self._append_log(out_path)
+        stores = {}
+        for agent_id, store in self.stores.items():
+            saved = self._stored_records[agent_id]
+            if not self._store_bytes[agent_id] or saved < store.long_term_size():
+                path = ckpt / "stores" / f"{agent_id}.mem"
+                self._store_bytes[agent_id] += store.save(path, start=saved)
+                self._stored_records[agent_id] = store.long_term_size()
+            stores[agent_id] = {"bytes": self._store_bytes[agent_id], **store.state()}
+        state = {
+            "format": CHECKPOINT_FORMAT,
+            **self._identity(),
+            "completed_steps": self.completed_steps,
+            "log_bytes": self._log_bytes,
+            "stores": stores,
+            "roles": {
+                agent_id: serialize_role(role) for agent_id, role in self.roles.items()
+            },
             "locations": dict(sorted(self.env.locations.items())),
             "move_log": self.env.move_log,
-            "working_memories": {
-                agent_id: wm.turns for agent_id, wm in self.working_memories.items()
-            },
             "counters": self.counters,
         }
-        (ckpt / "state.json").write_text(
-            json.dumps(state, ensure_ascii=False, sort_keys=True), encoding="utf-8"
-        )
-        self.log().save(out_path / LOG_FILENAME)
+        tmp = ckpt / (STATE_FILENAME + ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(state, ensure_ascii=False, sort_keys=True))
+        os.replace(tmp, ckpt / STATE_FILENAME)
 
     def restore_checkpoint(self, out_path: Path) -> None:
-        ckpt = Path(out_path) / CHECKPOINT_DIRNAME
-        state = json.loads((ckpt / "state.json").read_text(encoding="utf-8"))
-        if state["dataset_digest"] != self.dataset.digest():
-            raise ValueError("checkpoint was produced from a different dataset")
-        if state["config"] != self.config.as_dict():
-            raise ValueError("checkpoint was produced under a different config")
+        """Load the last committed checkpoint and cut every file back to it."""
+        out_path = Path(out_path)
+        ckpt = out_path / CHECKPOINT_DIRNAME
+        state_path = ckpt / STATE_FILENAME
+        if not state_path.is_file():
+            raise ValueError(f"no checkpoint to resume in {out_path}")
+        state = json.loads(state_path.read_text(encoding="utf-8"))
+        if state.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"{state_path} is not a {CHECKPOINT_FORMAT} checkpoint; run "
+                "directories with memory-store-v1 snapshots cannot be resumed, "
+                "start the run again without resume"
+            )
+        for name, value in self._identity().items():
+            if state[name] != value:
+                raise ValueError(
+                    f"checkpoint was produced with a different {name}: "
+                    f"{state[name]!r}, not {value!r}"
+                )
+        log_path = out_path / LOG_FILENAME
+        log_data = read_prefix(log_path, state["log_bytes"])
+        entries = [
+            _entry_from_dict(json.loads(line))
+            for line in log_data.decode("utf-8").splitlines()[1:]
+        ]
+        if len(entries) != state["completed_steps"]:
+            raise ValueError(
+                f"{log_path} holds {len(entries)} committed entries, "
+                f"not {state['completed_steps']}"
+            )
+        stores = {
+            agent_id: MemoryStore.load(
+                ckpt / "stores" / f"{agent_id}.mem",
+                self.config,
+                self.embedder,
+                state=saved,
+                length=saved["bytes"],
+            )
+            for agent_id, saved in state["stores"].items()
+        }
+        # Everything read: drop the bytes written after the commit.
+        os.truncate(log_path, state["log_bytes"])
+        for agent_id, saved in state["stores"].items():
+            os.truncate(ckpt / "stores" / f"{agent_id}.mem", saved["bytes"])
+
+        self.entries = entries
         self.completed_steps = state["completed_steps"]
+        self._log_bytes = state["log_bytes"]
+        self._logged_entries = len(entries)
+        self._log_hash = hashlib.sha256(log_data)
+        self.stores.update(stores)
+        for agent_id, store in stores.items():
+            self._store_bytes[agent_id] = state["stores"][agent_id]["bytes"]
+            self._stored_records[agent_id] = store.long_term_size()
+        for agent_id, text in state["roles"].items():
+            self.roles[agent_id] = parse_role_text(text)
         self.counters = state["counters"]
         self.env.locations = dict(state["locations"])
         self.env.move_log = list(state["move_log"])
-        for agent_id, turns in state["working_memories"].items():
-            wm = self.working_memories[agent_id]
-            wm.turns = [tuple(turn) for turn in turns]
-        for agent_id in self.dataset.agent_ids:
-            self.stores[agent_id] = MemoryStore.load(
-                ckpt / "stores" / f"{agent_id}.mem", self.config, self.embedder
+        # Working memory is the window of each agent's latest logged turns.
+        for wm in self.working_memories.values():
+            wm.turns.clear()
+        for entry in entries:
+            self.working_memories[entry.agent_id].append_turn(
+                entry.situation_text, entry.response
             )
-            self.roles[agent_id] = load_role(ckpt / "roles" / f"{agent_id}.txt")
-        _meta, raw_entries = load_log(Path(out_path) / LOG_FILENAME)
-        self.entries = [
-            _entry_from_dict(raw) for raw in raw_entries[: self.completed_steps]
-        ]
 
 
 def _entry_from_dict(raw: dict) -> InteractionLogEntry:

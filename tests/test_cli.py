@@ -378,3 +378,23 @@ def test_unknown_provider_without_providers_file(runner, cli_fixture_dir, tmp_pa
     )
     assert result.exit_code == 1
     assert "providers-file" in result.output
+
+
+def test_run_resume_with_a_different_seed_is_an_error(runner, cli_fixture_dir, tmp_path):
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--provider",
+        "memory-gated",
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args + ["--seed", "0"])
+    assert result.exit_code == 0, result.output
+    result = runner.invoke(main, args + ["--seed", "5", "--resume"])
+    assert result.exit_code == 1, result.output
+    assert "cannot resume" in result.output and "different seed" in result.output

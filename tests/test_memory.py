@@ -200,9 +200,16 @@ def test_snapshot_roundtrip(tmp_path, embedder):
     store.insert(MemoryKind.EXPERIENCE, "first event", T0, salience=0.5)
     store.insert(MemoryKind.KNOWLEDGE, "a known fact", T1, salience=1.0, mark_short=True)
     path = tmp_path / "agent.mem"
-    store.save(path)
-    loaded = MemoryStore.load(path, store.config, embedder)
+    first = store.save(path)
+    store.retrieve("first event")
+    # A later save appends only the records added since, after the header.
+    store.insert(MemoryKind.EXPERIENCE, "second event", T1, salience=0.5)
+    second = store.save(path, start=2)
+    assert path.stat().st_size == first + second
+    assert path.read_text("utf-8").count("memory-store-v2") == 1
+    loaded = MemoryStore.load(path, store.config, embedder, state=store.state())
     assert loaded.short_term_ids == store.short_term_ids
+    assert loaded.state() == store.state()
     assert len(loaded.records) == len(store.records)
     for a, b in zip(loaded.records, store.records):
         assert (a.id, a.kind, a.text, a.created_at, a.salience) == (
@@ -217,6 +224,22 @@ def test_snapshot_roundtrip(tmp_path, embedder):
     assert [
         (r.id, s) for r, s in loaded.retrieve("a known fact about events")
     ] == [(r.id, s) for r, s in store.retrieve("a known fact about events")]
+    # Reading a committed prefix drops the records past it.
+    prefix = MemoryStore.load(path, store.config, embedder, length=first)
+    assert [r.text for r in prefix.records] == ["first event", "a known fact"]
+    with pytest.raises(ValueError, match="fewer than"):
+        MemoryStore.load(path, store.config, embedder, length=first + second + 1)
+
+
+def test_snapshot_v1_format_is_refused(tmp_path, embedder):
+    path = tmp_path / "agent.mem"
+    path.write_text(
+        '{"format": "memory-store-v1", "agent_id": "a", "dim": 256, "capacity": 32, '
+        '"decay": 0.99, "now": {"day": 1, "slot": "P1"}, "short_term": []}\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ValueError, match="memory-store-v1"):
+        MemoryStore.load(path, config_by_id(1), embedder)
 
 
 def _random_store(rng: random.Random, n_records: int, config_id: int) -> MemoryStore:

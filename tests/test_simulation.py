@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import builtins
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from schoolsim.memory import MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
     ReplayBundle,
+    RunParams,
     Simulation,
     SituationFrame,
     load_log,
@@ -215,6 +218,205 @@ def test_abort_leaves_resumable_checkpoint(tmp_path, mini_dataset, mini_fixture)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "completed"
     assert manifest["completed_steps"] == mini_dataset.qa_count
+
+
+class _AbortAtAction(Provider):
+    """The memory-gated provider, raising at action call number ``abort_at``."""
+
+    def __init__(self, inner: Provider, abort_at: int):
+        self.inner = inner
+        self.name = inner.name
+        self.abort_at = abort_at
+        self.actions = 0
+
+    def complete(self, messages, params=None):
+        if not messages[-1].content.startswith((MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER)):
+            if self.actions == self.abort_at:
+                raise ProviderError("synthetic outage")
+            self.actions += 1
+        return self.inner.complete(messages, params)
+
+
+def _final_slot_start(dataset) -> int:
+    final = dataset.steps[-1].time.ordinal
+    return sum(1 for step in dataset.steps if step.time.ordinal != final)
+
+
+def _manifest_without_clock(out: Path) -> dict:
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    del manifest["written_at"]
+    return manifest
+
+
+def _run_dir_files(out: Path) -> dict:
+    return {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+
+
+@pytest.fixture()
+def reference_run(tmp_path, mini_dataset, mini_fixture):
+    """An uninterrupted checkpointed config-1 run at seed 0."""
+    out = tmp_path / "reference"
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out)
+    return out
+
+
+def test_resumed_run_directory_equals_uninterrupted(
+    tmp_path, mini_dataset, mini_fixture, reference_run
+):
+    out = tmp_path / "resumed"
+    provider = _AbortAtAction(
+        MemoryGatedProvider.from_file(mini_fixture.script_path),
+        _final_slot_start(mini_dataset),
+    )
+    with pytest.raises(ProviderError):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
+    # Counters included: the stores' counters come back from state.json.
+    assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
+    assert _run_dir_files(out) == _run_dir_files(reference_run)
+
+
+def test_fresh_run_replaces_an_earlier_run_directory(
+    tmp_path, mini_dataset, mini_fixture, reference_run
+):
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run)
+    again = tmp_path / "again"
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=again)
+    assert _run_dir_files(reference_run) == _run_dir_files(again)
+
+
+@pytest.mark.parametrize(
+    "field", ["seed", "params", "provider", "config", "dataset_digest"]
+)
+def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_run, field):
+    dataset, config_id, kwargs = mini_dataset, 1, {"seed": 0}
+    provider = MemoryGatedProvider.from_file(mini_fixture.script_path)
+    if field == "seed":
+        kwargs["seed"] = 5
+    elif field == "params":
+        kwargs["params"] = RunParams(window=5)
+    elif field == "provider":
+        provider.name = "other-provider"
+    elif field == "config":
+        config_id = 2
+    else:
+        dataset = take_steps(mini_dataset, 6)
+    with pytest.raises(ValueError, match=f"different {field}"):
+        _run(
+            dataset, mini_fixture, config_id, provider=provider,
+            out_dir=reference_run, resume=True, **kwargs,
+        )
+
+
+def test_resume_refuses_a_memory_store_v1_checkpoint(
+    mini_dataset, mini_fixture, reference_run
+):
+    # The layout before append-only checkpoints: full store snapshots with
+    # their mutable fields in the header, role files, no format or lengths.
+    ckpt = reference_run / "checkpoint"
+    state = json.loads((ckpt / "state.json").read_text("utf-8"))
+    for agent_id, saved in state.pop("stores").items():
+        path = ckpt / "stores" / f"{agent_id}.mem"
+        lines = path.read_text("utf-8").splitlines(keepends=True)
+        header = json.loads(lines[0])
+        header.update(format="memory-store-v1", now=saved["now"], short_term=saved["short_term"])
+        path.write_text(json.dumps(header) + "\n" + "".join(lines[1:]), "utf-8")
+    for key in ("format", "log_bytes", "roles", "provider"):
+        del state[key]
+    (ckpt / "state.json").write_text(json.dumps(state), "utf-8")
+    with pytest.raises(ValueError, match="memory-store-v1"):
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+
+
+def _fail_inside_checkpoint(monkeypatch, number: int, fail_at: int | None, torn: bool):
+    """Break write ``fail_at`` (0-based) of checkpoint ``number``.
+
+    Writes are the file opens for writing or appending and the calls to
+    ``os.replace``. A broken open raises before anything is written, or with
+    ``torn`` writes half of its data and then raises. Returns the list of
+    writes seen inside that checkpoint.
+    """
+    real_save = Simulation.save_checkpoint
+    real_open = builtins.open
+    real_replace = os.replace
+    seen: list[str] = []
+    saves = []
+
+    class Torn:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def __getattr__(self, name):
+            return getattr(self.handle, name)
+
+        def write(self, data):
+            self.handle.write(data[: len(data) // 2])
+            raise OSError("torn write")
+
+    def broken(kind: str) -> bool:
+        seen.append(kind)
+        return len(seen) - 1 == fail_at
+
+    def open_(file, mode="r", *args, **kwargs):
+        if not set(mode) & set("wa"):
+            return real_open(file, mode, *args, **kwargs)
+        if broken(f"open {Path(file).name}"):
+            if not torn:
+                raise OSError("injected open failure")
+            return Torn(real_open(file, mode, *args, **kwargs))
+        return real_open(file, mode, *args, **kwargs)
+
+    def replace(src, dst):
+        if broken(f"replace {Path(dst).name}"):
+            raise OSError("injected replace failure")
+        real_replace(src, dst)
+
+    def save_checkpoint(self, out_path):
+        saves.append(out_path)
+        if len(saves) != number:
+            return real_save(self, out_path)
+        with monkeypatch.context() as patch:
+            patch.setattr(builtins, "open", open_)
+            patch.setattr(os, "replace", replace)
+            real_save(self, out_path)
+
+    monkeypatch.setattr(Simulation, "save_checkpoint", save_checkpoint)
+    return seen
+
+
+@pytest.mark.parametrize("torn", [False, True], ids=["open-fails", "torn-write"])
+def test_crash_at_any_checkpoint_write_resumes_byte_identical(
+    tmp_path, monkeypatch, mini_dataset, mini_fixture, reference_run, torn
+):
+    expected = _run_dir_files(reference_run)
+    writes = _fail_inside_checkpoint(monkeypatch, 3, None, torn)
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=tmp_path / "count")
+    # The log, at least one store file, state.json's temp file, its rename.
+    assert writes[0] == "open log.jsonl" and writes[-1] == "replace state.json"
+    assert len(writes) >= 4
+    for fail_at in range(len(writes)):
+        if torn and writes[fail_at].startswith("replace"):
+            continue
+        out = tmp_path / f"fail-{fail_at}"
+        monkeypatch.undo()
+        _fail_inside_checkpoint(monkeypatch, 3, fail_at, torn)
+        with pytest.raises(OSError):
+            _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out)
+        monkeypatch.undo()
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
+        files = _run_dir_files(out)
+        assert files["log.jsonl"] == expected["log.jsonl"], writes[fail_at]
+        assert files == expected, writes[fail_at]
 
 
 def test_manifest_counters_reflect_config_gating(tmp_path, full_dataset, full_fixture):
