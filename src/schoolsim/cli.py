@@ -351,7 +351,7 @@ def evaluate(log_path, dataset_path, fmt, interval, beta, out) -> None:
             beta=beta,
             interval_percent=int(interval),
         )
-    except SchoolSimError as exc:
+    except (SchoolSimError, ValueError) as exc:
         raise click.ClickException(str(exc))
     text = render_matrix_report([report], format=fmt)
     if out:

@@ -187,6 +187,34 @@ def test_evaluate_replay_log_is_all_ones(runner, cli_fixture_dir, tmp_path):
     assert set(data_line.split(",")[1:]) == {"1.0"}
 
 
+@pytest.mark.parametrize("beta", ["0", "-1", "nan"])
+def test_evaluate_rejects_a_beta_that_is_not_finite_and_positive(
+    runner, cli_fixture_dir, tmp_path, beta
+):
+    out = tmp_path / "run"
+    args = ["--dataset", str(cli_fixture_dir), "--config-id", "9", "--provider", "replay"]
+    assert runner.invoke(main, ["run", *args, "--out", str(out)]).exit_code == 0
+    report = tmp_path / "report.csv"
+    result = runner.invoke(
+        main,
+        [
+            "evaluate",
+            "--log",
+            str(out / "log.jsonl"),
+            "--dataset",
+            str(cli_fixture_dir),
+            "--beta",
+            beta,
+            "--out",
+            str(report),
+        ],
+    )
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert "beta must be finite and positive" in result.output
+    assert not report.exists()
+
+
 def test_matrix_runs_all_nine_and_renders_reports(runner, cli_fixture_dir, tmp_path):
     out = tmp_path / "matrix"
     result = runner.invoke(

@@ -39,6 +39,34 @@ def test_tokenize_splits_cjk_per_character():
     assert tokenize("复习了分数 again") == ["复", "习", "了", "分", "数", "again"]
 
 
+def test_tokenize_cjk_range_edges():
+    # One whitespace chunk; each CJK range's first and last code point is
+    # its own token, and its neighbours outside the range stay in the
+    # surrounding non-CJK run. NFC maps the compatibility ideograph U+F900
+    # to U+8C48, which is itself CJK.
+    text = (
+        "(A\u33ff\u3400b\u4dbf\u4dc0,c\u4dff\u4e00D"
+        "\u9fff\ua000e\uf8ff\uf900f\ufaff\ufb00!) 分x"
+    )
+    assert tokenize(text) == [
+        "a\u33ff",
+        "\u3400",
+        "b",
+        "\u4dbf",
+        "\u4dc0,c\u4dff",
+        "\u4e00",
+        "d",
+        "\u9fff",
+        "\ua000e\uf8ff",
+        "\u8c48",
+        "f",
+        "\ufaff",
+        "\ufb00",
+        "分",
+        "x",
+    ]
+
+
 def test_rouge_hand_value():
     score = rouge_l("the cat sat", "the dog sat")
     assert score.lcs_len == 2
@@ -60,8 +88,11 @@ def test_rouge_degenerate_conventions():
 
 
 def test_rouge_beta_validation():
-    with pytest.raises(ValueError):
-        rouge_l("a", "a", beta=0.0)
+    for beta in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            rouge_l("a", "a", beta=beta)
+        with pytest.raises(ValueError):
+            score_responses(["a"], ["a"], config_id=1, beta=beta)
 
 
 def test_rouge_beta_weighting_favors_recall():
