@@ -4,27 +4,18 @@ The reference embedder is a hashed bag-of-tokens: lowercase the text, split
 it into alphanumeric runs, hash each token with a seeded 64-bit hash into one
 of ``dim`` buckets with a sign taken from a second hash bit, then L2-normalize.
 It is a pure function of (text, dim, seed), which is what replayable retrieval
-tests need. Remote embedding services plug in behind the same ``embed``
-contract; their outputs are cached keyed by (provider id, text hash).
+tests need.
 """
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
-import logging
 import re
-import threading
-import time
-from pathlib import Path
-from typing import Iterable, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptyTextError, ZeroVectorError
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DIM = 256
 DEFAULT_SEED = 0
@@ -60,9 +51,6 @@ class Embedder(Protocol):
 
     dim: int
 
-    @property
-    def identity(self) -> str: ...
-
     def embed(self, text: str) -> np.ndarray: ...
 
 
@@ -75,14 +63,23 @@ class HashedBagEmbedder:
         self.dim = dim
         self.seed = seed
         self._key = seed.to_bytes(8, "little", signed=True)
+        self._codes: dict[str, tuple[int, float]] = {}
 
-    @property
-    def identity(self) -> str:
-        return f"hashed-bag(dim={self.dim},seed={self.seed})"
+    def _token_code(self, token: str) -> tuple[int, float]:
+        """(bucket, sign) of a token, memoised per embedder.
 
-    def _token_hash(self, token: str) -> int:
-        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key)
-        return int.from_bytes(digest.digest(), "little")
+        Worker threads share one embedder; two that miss on the same token
+        store the same value, so the cache needs no lock.
+        """
+        code = self._codes.get(token)
+        if code is None:
+            digest = hashlib.blake2b(
+                token.encode("utf-8"), digest_size=8, key=self._key
+            )
+            h = int.from_bytes(digest.digest(), "little")
+            code = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
+            self._codes[token] = code
+        return code
 
     def embed(self, text: str) -> np.ndarray:
         if not text or not text.strip():
@@ -92,150 +89,17 @@ class HashedBagEmbedder:
             # Non-empty text made purely of separators still gets a vector so
             # the unit-norm invariant holds; hash the trimmed text whole.
             tokens = [text.strip()]
-        vec = np.zeros(self.dim, dtype=np.float64)
-        for token in tokens:
-            h = self._token_hash(token)
-            bucket = h % self.dim
-            sign = 1.0 if (h >> 63) & 1 else -1.0
-            vec[bucket] += sign
+        codes = [self._token_code(token) for token in tokens]
+        buckets = [bucket for bucket, _ in codes]
+        # Sums of +-1.0 are exact in any order, so this equals adding the
+        # signs one token at a time.
+        vec = np.bincount(
+            buckets, weights=[sign for _, sign in codes], minlength=self.dim
+        )
         norm = float(np.linalg.norm(vec))
         if norm == 0.0:
             # Signed counts of repeated tokens can cancel; fall back to the
             # unsigned bag so the output is never the zero vector.
-            for token in tokens:
-                vec[self._token_hash(token) % self.dim] += 1.0
+            vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
             norm = float(np.linalg.norm(vec))
         return vec / norm
-
-
-class RemoteEmbedder:
-    """Client for a remote embedding endpoint.
-
-    Wire format: POST ``{"texts": [...]}`` to ``url``; the response carries
-    ``{"vectors": [[...], ...]}`` with one vector per input text.
-    """
-
-    def __init__(
-        self,
-        url: str,
-        dim: int = DEFAULT_DIM,
-        timeout: float = 30.0,
-        max_retries: int = 3,
-        backoff: float = 1.0,
-        name: str = "remote",
-    ):
-        self.url = url
-        self.dim = dim
-        self.timeout = timeout
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.name = name
-
-    @property
-    def identity(self) -> str:
-        return f"{self.name}({self.url},dim={self.dim})"
-
-    def embed_batch(self, texts: list[str]) -> list[np.ndarray]:
-        import requests
-
-        for text in texts:
-            if not text or not text.strip():
-                raise EmptyTextError("cannot embed empty or whitespace-only text")
-        last_error: Exception | None = None
-        for attempt in range(self.max_retries):
-            try:
-                resp = requests.post(
-                    self.url, json={"texts": texts}, timeout=self.timeout
-                )
-            except requests.Timeout as exc:
-                last_error = exc
-            else:
-                if resp.status_code >= 500:
-                    last_error = RuntimeError(f"server error {resp.status_code}")
-                else:
-                    resp.raise_for_status()
-                    vectors = resp.json()["vectors"]
-                    if len(vectors) != len(texts):
-                        raise ValueError(
-                            f"endpoint returned {len(vectors)} vectors "
-                            f"for {len(texts)} texts"
-                        )
-                    return [np.asarray(v, dtype=np.float64) for v in vectors]
-            if attempt + 1 < self.max_retries:
-                time.sleep(self.backoff * (2**attempt))
-        raise RuntimeError(f"embedding endpoint failed after {self.max_retries} attempts") from last_error
-
-    def embed(self, text: str) -> np.ndarray:
-        return self.embed_batch([text])[0]
-
-
-def _text_key(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-class CachedEmbedder:
-    """Caching wrapper keyed by (provider identity, text hash).
-
-    Safe for concurrent readers; writes are serialized by a lock. The cache
-    can be persisted so evaluation reruns never re-query a paid endpoint.
-    """
-
-    def __init__(self, inner: Embedder, cache_path: str | Path | None = None):
-        self.inner = inner
-        self.dim = inner.dim
-        self.cache_path = Path(cache_path) if cache_path else None
-        self._cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-        if self.cache_path and self.cache_path.exists():
-            self.load(self.cache_path)
-
-    @property
-    def identity(self) -> str:
-        return f"cached[{self.inner.identity}]"
-
-    def embed(self, text: str) -> np.ndarray:
-        key = _text_key(text)
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        vec = self.inner.embed(text)
-        with self._lock:
-            self._cache[key] = vec
-        return vec
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def save(self, path: str | Path | None = None) -> None:
-        path = Path(path) if path else self.cache_path
-        if path is None:
-            raise ValueError("no cache path configured")
-        with self._lock:
-            items: Iterable[tuple[str, np.ndarray]] = sorted(self._cache.items())
-            lines = [
-                json.dumps(
-                    {
-                        "provider": self.inner.identity,
-                        "text_hash": key,
-                        "vector": base64.b64encode(vec.tobytes()).decode("ascii"),
-                    }
-                )
-                for key, vec in items
-            ]
-        path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
-
-    def load(self, path: str | Path) -> int:
-        loaded = 0
-        with self._lock:
-            for line in Path(path).read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                row = json.loads(line)
-                if row.get("provider") != self.inner.identity:
-                    continue
-                vec = np.frombuffer(
-                    base64.b64decode(row["vector"]), dtype=np.float64
-                ).copy()
-                self._cache[row["text_hash"]] = vec
-                loaded += 1
-        return loaded

@@ -1,8 +1,8 @@
-"""School map, class timetables, simulation clock, and the action catalog.
+"""School map, class timetables, simulation time, and the action catalog.
 
 Map and timetables are data, not code: the area list and both class
 timetables ship as plain text files under ``schoolsim/data`` and are loaded
-here. The clock is slot-indexed; wall-clock labels are display metadata only.
+here. Time is slot-indexed; wall-clock labels are display metadata only.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from pathlib import Path
 from .agent import RoleKind
 from .errors import (
     RoleMismatchError,
-    SimulationEndedError,
     UnknownActionError,
     UnknownAreaError,
     UnknownClassError,
@@ -118,23 +117,6 @@ class SimTime:
 
     def as_dict(self) -> dict:
         return {"day": self.day, "slot": self.slot.label}
-
-
-class SimClock:
-    """Slot-ordered clock over the five-day calendar."""
-
-    def __init__(self, time: SimTime | None = None):
-        self.time = time or SimTime.at(1, Slot.PERIOD1)
-
-    def advance(self) -> SimTime:
-        t = self.time
-        if t.slot is Slot.EXTRACURRICULAR:
-            if t.day >= N_DAYS:
-                raise SimulationEndedError("clock is at the final slot of day 5")
-            self.time = SimTime.at(t.day + 1, Slot.PERIOD1)
-        else:
-            self.time = SimTime(t.day, t.slot_index + 1)
-        return self.time
 
 
 class AreaMap:

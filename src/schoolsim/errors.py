@@ -117,10 +117,6 @@ class RoleMismatchError(SchoolSimError):
     """Action label exists but belongs to the other role."""
 
 
-class SimulationEndedError(SchoolSimError):
-    """The clock cannot advance past the final day's last slot."""
-
-
 # Dataset errors
 
 

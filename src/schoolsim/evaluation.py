@@ -35,6 +35,10 @@ _TOKEN = re.compile(f"[{_CJK}]|[^{_CJK}]+")
 
 
 def _strip_punctuation(token: str) -> str:
+    # No alphanumeric code point has a P* category, so a token with
+    # alphanumeric edges has nothing to strip.
+    if token[:1].isalnum() and token[-1:].isalnum():
+        return token
     start = 0
     end = len(token)
     while start < end and unicodedata.category(token[start]).startswith("P"):

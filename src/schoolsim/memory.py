@@ -9,7 +9,10 @@ Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
 
 * similarity is the canonical cosine of the query embedding and the record
   embedding; a record qualifies when similarity is strictly above
-  ``min_similarity``;
+  ``min_similarity``. ``retrieve`` evaluates cosine's own expression with
+  one ``np.dot`` per record and cached norms, so the bits are the same; a
+  different summation order (a mat-vec over all records, say) rounds
+  differently, reorders ties and is a behaviour change;
 * with the short/long-term hierarchy enabled, the result is the top
   ``k_short`` qualifying short-term records followed by the top ``k_long``
   qualifying long-term records not already returned; with the hierarchy
@@ -34,9 +37,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import BaseStructure, SimulationConfig
-from .embedding import Embedder, cosine
+from .embedding import Embedder
 from .environment import SimTime
-from .errors import EmptyTextError, KindDisabledError, MemoryDisabledError
+from .errors import (
+    DimensionMismatchError,
+    EmptyTextError,
+    KindDisabledError,
+    MemoryDisabledError,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -133,6 +141,8 @@ class MemoryStore:
         self.capacity = capacity
         self.decay = decay
         self._records: list[MemoryRecord] = []
+        # L2 norm of each record's embedding, by record id.
+        self._norms: list[float] = []
         self._short_term: list[int] = []
         self._next_id = 0
         self._now = SimTime(1, 0)
@@ -184,6 +194,7 @@ class MemoryStore:
             salience=salience,
         )
         self._records.append(record)
+        self._norms.append(float(np.linalg.norm(record.embedding)))
         self._next_id += 1
         if timestamp.ordinal > self._now.ordinal:
             self._now = timestamp
@@ -295,11 +306,14 @@ class MemoryStore:
         if not self._records:
             return []
         query_vec = self.embedder.embed(query)
-        scored = {
-            record.id: sim
-            for record in self._records
-            if (sim := cosine(query_vec, record.embedding)) > policy.min_similarity
-        }
+        query_norm = float(np.linalg.norm(query_vec))
+        scored: dict[int, float] = {}
+        for record, norm in zip(self._records, self._norms):
+            # embedding.cosine's expression, operand for operand.
+            sim = float(np.dot(query_vec, record.embedding)) / (query_norm * norm)
+            sim = max(-1.0, min(1.0, sim))
+            if sim > policy.min_similarity:
+                scored[record.id] = sim
         if not self.config.stlt_enabled:
             return self._long_term_segment(
                 scored, exclude=set(), budget=policy.k_short + policy.k_long
@@ -387,6 +401,12 @@ class MemoryStore:
                 f"{path}: store format {header.get('format')!r} is not "
                 f"{STORE_FORMAT!r}; snapshots from older versions cannot be loaded"
             )
+        if header["dim"] != embedder.dim:
+            # Retrieval takes np.dot of record and query vectors directly.
+            raise DimensionMismatchError(
+                f"{path}: store vectors have dim {header['dim']}, "
+                f"the embedder {embedder.dim}"
+            )
         store = cls(
             header["agent_id"],
             config,
@@ -410,6 +430,7 @@ class MemoryStore:
             if record.id != len(store._records):
                 raise ValueError(f"store records out of order at id {record.id}")
             store._records.append(record)
+            store._norms.append(float(np.linalg.norm(record.embedding)))
         store._next_id = len(store._records)
         if state is not None:
             store._short_term = list(state["short_term"])

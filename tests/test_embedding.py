@@ -1,21 +1,15 @@
 from __future__ import annotations
 
-import json
+import hashlib
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoolsim.embedding import (
-    CachedEmbedder,
-    HashedBagEmbedder,
-    RemoteEmbedder,
-    cosine,
-    split_tokens,
-)
+from schoolsim.embedding import HashedBagEmbedder, cosine, split_tokens
 from schoolsim.errors import DimensionMismatchError, EmptyTextError, ZeroVectorError
 
 
@@ -102,66 +96,104 @@ def test_cosine_scale_invariant(text, scale):
     assert abs(cosine(scale * v, v) - 1.0) < 1e-12
 
 
-def test_cached_embedder_hits_and_persists(tmp_path, embedder):
-    cache_path = tmp_path / "cache.jsonl"
-    cached = CachedEmbedder(embedder, cache_path)
-    first = cached.embed("remember this line")
-    again = cached.embed("remember this line")
-    assert first.tobytes() == again.tobytes()
-    assert len(cached) == 1
-    cached.save()
-
-    reloaded = CachedEmbedder(embedder, cache_path)
-    assert len(reloaded) == 1
-    assert reloaded.embed("remember this line").tobytes() == first.tobytes()
+def token_hash(seed: int, token: str) -> int:
+    key = seed.to_bytes(8, "little", signed=True)
+    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=key)
+    return int.from_bytes(digest.digest(), "little")
 
 
-def test_cached_embedder_concurrent_reads(embedder):
-    cached = CachedEmbedder(embedder)
-    texts = [f"line {i}" for i in range(20)]
-    results: list[list] = [[] for _ in range(4)]
-
-    def worker(bucket: list) -> None:
-        for text in texts:
-            bucket.append(cached.embed(text).tobytes())
-
-    threads = [threading.Thread(target=worker, args=(results[i],)) for i in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert all(bucket == results[0] for bucket in results)
-    assert len(cached) == len(texts)
+def reference_embed(dim: int, seed: int, text: str) -> np.ndarray:
+    """The embedder as first written: one uncached hash and add per token."""
+    tokens = split_tokens(text) or [text.strip()]
+    vec = np.zeros(dim, dtype=np.float64)
+    for token in tokens:
+        h = token_hash(seed, token)
+        vec[h % dim] += 1.0 if (h >> 63) & 1 else -1.0
+    norm = float(np.linalg.norm(vec))
+    if norm == 0.0:
+        for token in tokens:
+            vec[token_hash(seed, token) % dim] += 1.0
+        norm = float(np.linalg.norm(vec))
+    return vec / norm
 
 
-class _EmbeddingHandler(BaseHTTPRequestHandler):
-    def do_POST(self):  # noqa: N802 (http.server API)
-        length = int(self.headers["Content-Length"])
-        payload = json.loads(self.rfile.read(length))
-        texts = payload["texts"]
-        vectors = [[float(len(t)), 1.0] for t in texts]
-        body = json.dumps({"vectors": vectors}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # silence test output
-        pass
+_WORDS = st.sampled_from(["alpha", "beta", "gamma", "delta", "x", "7", "数学", "Übung"])
 
 
-@pytest.fixture()
-def embedding_server():
-    server = HTTPServer(("127.0.0.1", 0), _EmbeddingHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield f"http://127.0.0.1:{server.server_port}/embed"
-    server.shutdown()
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        st.text(min_size=1).filter(lambda s: s.strip()),
+        st.lists(_WORDS, min_size=1, max_size=30).map(" ".join),
+    ),
+    st.sampled_from([1, 2, 4, 32, 256]),
+    st.integers(min_value=-3, max_value=3),
+)
+def test_embed_equals_the_uncached_loop_bit_for_bit(text, dim, seed):
+    embedder = HashedBagEmbedder(dim=dim, seed=seed)
+    expected = reference_embed(dim, seed, text).tobytes()
+    assert embedder.embed(text).tobytes() == expected
+    # A second call reads every token from the cache.
+    assert embedder.embed(text).tobytes() == expected
 
 
-def test_remote_embedder_wire_format(embedding_server):
-    remote = RemoteEmbedder(embedding_server, dim=2, timeout=5.0)
-    vectors = remote.embed_batch(["ab", "abcd"])
-    assert [v.tolist() for v in vectors] == [[2.0, 1.0], [4.0, 1.0]]
-    single = remote.embed("xyz")
-    assert single.tolist() == [3.0, 1.0]
+def _cancelling_text(dim: int, seed: int) -> str:
+    """Two pairs of words, each pair in one bucket with opposite signs, so
+    the signed sum is 0 and the unsigned bag has two unequal buckets."""
+    seen: dict[int, tuple[str, bool]] = {}
+    pairs: dict[int, tuple[str, str]] = {}
+    for i in range(1000):
+        word = f"w{i}"
+        h = token_hash(seed, word)
+        bucket, positive = h % dim, bool((h >> 63) & 1)
+        if bucket not in seen:
+            seen[bucket] = (word, positive)
+        elif seen[bucket][1] != positive and bucket not in pairs:
+            pairs[bucket] = (seen[bucket][0], word)
+            if len(pairs) == 2:
+                (a, b), (c, d) = pairs.values()
+                return f"{a} {b} {a} {b} {c} {d}"
+    raise AssertionError("no two cancelling pairs among 1000 words")
+
+
+@pytest.mark.parametrize("dim,seed", [(4, 0), (32, 1), (256, 0)])
+def test_cancelling_signs_fall_back_to_the_unsigned_bag(dim, seed):
+    text = _cancelling_text(dim, seed)
+    embedder = HashedBagEmbedder(dim=dim, seed=seed)
+    vec = embedder.embed(text)
+    assert vec.tobytes() == reference_embed(dim, seed, text).tobytes()
+    assert sorted(vec[vec != 0] ** 2 * 20) == pytest.approx([4.0, 16.0])
+
+
+def test_embedders_with_other_seeds_or_dims_share_no_cache():
+    text = "the quick brown fox jumps over the lazy dog the end"
+    warm = HashedBagEmbedder(dim=256, seed=0)
+    warm.embed(text)
+    for dim, seed in [(256, 1), (64, 0), (64, 1)]:
+        other = HashedBagEmbedder(dim=dim, seed=seed)
+        assert other.embed(text).tobytes() == reference_embed(dim, seed, text).tobytes()
+        assert other.embed(text).tobytes() != warm.embed(text).tobytes()
+    assert warm.embed(text).tobytes() == reference_embed(256, 0, text).tobytes()
+
+
+def test_threads_sharing_one_embedder_get_the_reference_vectors():
+    texts = [f"w{i % 7} w{i % 11} shared words {i % 13} and more" for i in range(60)]
+    expected = [reference_embed(64, 0, text).tobytes() for text in texts]
+    embedder = HashedBagEmbedder(dim=64)
+    results: list[list[bytes]] = [[] for _ in range(6)]
+
+    def work(out: list[bytes]) -> None:
+        out.extend(embedder.embed(text).tobytes() for text in texts)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(out,)) for out in results]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(out == expected for out in results)

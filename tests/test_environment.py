@@ -7,7 +7,6 @@ from schoolsim.environment import (
     ActionCategory,
     AreaMap,
     EnvironmentState,
-    SimClock,
     SimTime,
     Slot,
     classify_action,
@@ -19,7 +18,6 @@ from schoolsim.environment import (
 )
 from schoolsim.errors import (
     RoleMismatchError,
-    SimulationEndedError,
     UnknownActionError,
     UnknownAreaError,
     UnknownClassError,
@@ -60,27 +58,11 @@ def test_full_cell_coverage(timetables):
         assert len(table.grid) == 25
 
 
-def test_clock_advances_in_slot_order():
-    clock = SimClock()
-    assert clock.time == SimTime.at(1, Slot.PERIOD1)
-    assert clock.advance() == SimTime.at(1, Slot.BREAK1)
-
-
-def test_clock_wraps_to_next_day():
-    clock = SimClock(SimTime.at(1, Slot.EXTRACURRICULAR))
-    assert clock.advance() == SimTime.at(2, Slot.PERIOD1)
-
-
-def test_clock_visits_exactly_fifty_slots():
-    clock = SimClock()
-    visited = 1
-    while True:
-        try:
-            clock.advance()
-            visited += 1
-        except SimulationEndedError:
-            break
-    assert visited == 50
+def test_calendar_has_fifty_slots_in_order():
+    times = [SimTime.at(day, slot) for day in range(1, 6) for slot in Slot]
+    assert [t.ordinal for t in times] == list(range(50))
+    assert times == sorted(times)
+    assert times[9:11] == [SimTime.at(1, Slot.EXTRACURRICULAR), SimTime.at(2, Slot.PERIOD1)]
 
 
 def test_area_map_has_twenty_five_connected_areas():

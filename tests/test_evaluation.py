@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from conftest import load_roles_dir
 from schoolsim.config import config_by_id
 from schoolsim.errors import LengthMismatchError
 from schoolsim.evaluation import (
+    _strip_punctuation,
     checkpoints,
     evaluate_run,
     export_human_eval_sample,
@@ -65,6 +68,39 @@ def test_tokenize_cjk_range_edges():
         "分",
         "x",
     ]
+
+
+def _strip_punctuation_slow(token: str) -> str:
+    """The strip rule one edge character at a time, with no fast path."""
+    start, end = 0, len(token)
+    while start < end and unicodedata.category(token[start]).startswith("P"):
+        start += 1
+    while end > start and unicodedata.category(token[end - 1]).startswith("P"):
+        end -= 1
+    return token[start:end]
+
+
+def test_strip_punctuation_every_code_point():
+    chars = map(chr, range(sys.maxunicode + 1))
+    assert [
+        hex(ord(char))
+        for char in chars
+        if _strip_punctuation(char) != _strip_punctuation_slow(char)
+    ] == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(
+        st.one_of(
+            st.sampled_from("a9Zé一١.,!?'\"()。「—-_"),
+            st.characters(),
+        ),
+        max_size=8,
+    )
+)
+def test_strip_punctuation_matches_the_slow_loop(token):
+    assert _strip_punctuation(token) == _strip_punctuation_slow(token)
 
 
 def test_rouge_hand_value():

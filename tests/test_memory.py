@@ -1,14 +1,23 @@
 from __future__ import annotations
 
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from retrieval_oracle import oracle_retrieve
 from schoolsim.config import config_by_id
-from schoolsim.embedding import HashedBagEmbedder
+from schoolsim.embedding import HashedBagEmbedder, cosine
 from schoolsim.environment import SimTime, Slot
-from schoolsim.errors import EmptyTextError, KindDisabledError, MemoryDisabledError
+from schoolsim.errors import (
+    DimensionMismatchError,
+    EmptyTextError,
+    KindDisabledError,
+    MemoryDisabledError,
+)
 from schoolsim.memory import MemoryKind, MemoryStore, MemoryUpdate, RetrievalPolicy
 
 T0 = SimTime.at(1, Slot.PERIOD1)
@@ -231,6 +240,15 @@ def test_snapshot_roundtrip(tmp_path, embedder):
         MemoryStore.load(path, store.config, embedder, length=first + second + 1)
 
 
+def test_load_refuses_an_embedder_of_another_dim(tmp_path, embedder):
+    store = make_store(embedder=embedder)
+    store.insert(MemoryKind.EXPERIENCE, "first event", T0)
+    path = tmp_path / "agent.mem"
+    store.save(path)
+    with pytest.raises(DimensionMismatchError, match="dim 64"):
+        MemoryStore.load(path, store.config, HashedBagEmbedder(dim=32))
+
+
 def test_snapshot_v1_format_is_refused(tmp_path, embedder):
     path = tmp_path / "agent.mem"
     path.write_text(
@@ -284,3 +302,50 @@ def test_segment_order_short_term_first():
     # The long-term record scores higher, but the short-term segment leads.
     assert results[0][0].id == st_id
     assert lt_best in [r.id for r, _ in results[1:]]
+
+
+_VOCAB = [f"word{i}" for i in range(12)]
+_PHRASE = st.lists(st.sampled_from(_VOCAB), min_size=1, max_size=6).map(" ".join)
+
+
+def _assert_bit_parity(store: MemoryStore, query: str) -> list[tuple[int, float]]:
+    everything = RetrievalPolicy(k_short=10_000, k_long=10_000, min_similarity=-1.0)
+    got = [(record.id, sim) for record, sim in store.retrieve(query, everything)]
+    query_vec = store.embedder.embed(query)
+    canonical = {r.id: cosine(query_vec, r.embedding) for r in store.records}
+    for rid, sim in got:
+        assert sim == canonical[rid], f"record {rid}"
+    assert sorted(rid for rid, _ in got) == sorted(
+        rid for rid, sim in canonical.items() if sim > -1.0
+    )
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config_id=st.integers(min_value=1, max_value=8),
+    rows=st.lists(
+        st.tuples(st.integers(0, 1), _PHRASE, st.booleans()), max_size=40
+    ),
+    queries=st.lists(_PHRASE, min_size=1, max_size=4),
+)
+def test_retrieve_similarities_equal_canonical_cosine_bit_for_bit(
+    config_id, rows, queries
+):
+    # dim=32 and twelve words make many records score exactly alike.
+    config = config_by_id(config_id)
+    store = MemoryStore("h", config, HashedBagEmbedder(dim=32), capacity=8)
+    kinds = [k for k in MemoryKind if config.kind_enabled(k)]
+    for i, (kind, text, mark_short) in enumerate(rows):
+        store.insert(
+            kinds[kind % len(kinds)], text, SimTime(1 + i % 5, i % 10),
+            mark_short=mark_short,
+        )
+    built = [_assert_bit_parity(store, query) for query in queries]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "h.mem"
+        store.save(path)
+        loaded = MemoryStore.load(
+            path, config, HashedBagEmbedder(dim=32), state=store.state()
+        )
+    assert [_assert_bit_parity(loaded, query) for query in queries] == built

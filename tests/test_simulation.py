@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load_roles_dir
-from schoolsim.config import config_by_id
+from schoolsim.config import config_by_id, config_matrix
 from schoolsim.dataset import take_steps
 from schoolsim.errors import (
     MissingFieldError,
@@ -17,7 +17,7 @@ from schoolsim.errors import (
     ScriptMissError,
     WrongTypeError,
 )
-from schoolsim.fixtures import MemoryGatedProvider
+from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
 from schoolsim.llm import ChatMessage, Provider, ScriptedProvider
 from schoolsim.memory import MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
@@ -452,3 +452,35 @@ def test_replay_bundle_handles_update_and_reflection_prompts(mini_dataset):
     assert "remains largely unchanged" in reflection
     with pytest.raises(ProviderError):
         bundle.complete([ChatMessage("user", "Day 1, Period 1\nno system message")])
+
+
+# Log digests of the nine configs at seed 0 on the two-teacher, four-student,
+# five-day fixture with the memory-gated provider. Any change to them is a
+# behaviour change: retrieval ties, for one, follow the exact float bits.
+MATRIX_DIGESTS = {
+    1: "fd43c49c1e1619ad2109917b2e49b253b3a2939a86a2bd508283f253a14ad222",
+    2: "8c5086f3b4c994b97e019354f68f57f1a75f321e3cf8eeebbf2b466b94338c12",
+    3: "43b79b70521f4f43afbd9f50556b9f9d4718fdba315875d2fd239daca141ef48",
+    4: "a0003239a17be451c877ecfcc988cf41287ca034bc6b423bd882589ac5dc07f5",
+    5: "ba9a76241069ace0e73c49e9fe7954893835e4a052d1cb5e52dca636acd132bd",
+    6: "fce46961ab3fbf13a04d9306695284293dfb43a8e55b400184284d758b113fce",
+    7: "0eae0fcc2c25cccda4a3e5cd024c16a333d85953342a790d3ce9df9f8fb85960",
+    8: "179874eaee51fbd03727df2d370f82c09aca92e5bc2b472ce9bc3b1aa21e356d",
+    9: "42dc6257f8f4ca956f58b3535c8719bf7ce1eb70a38137e5ea7ad9bfb153bed6",
+}
+
+
+def test_matrix_log_digests_are_pinned(tmp_path):
+    paths = build_fixture(tmp_path, teachers=2, students=4, days=5, seed=0)
+    dataset = load_fixture_dataset(paths.root)
+    digests = {
+        cfg.id: run_simulation(
+            dataset,
+            load_roles_dir(paths.roles_dir),
+            MemoryGatedProvider.from_file(paths.script_path),
+            cfg,
+            seed=0,
+        ).digest()
+        for cfg in config_matrix()
+    }
+    assert digests == MATRIX_DIGESTS
