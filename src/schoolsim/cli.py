@@ -35,6 +35,7 @@ from .fixtures import GATED_SCRIPT_FILENAME, MemoryGatedProvider, build_fixture
 from .llm import HttpProvider, Provider, ScriptedProvider
 from .simulation import (
     LOG_FILENAME,
+    MANIFEST_FILENAME,
     ReplayBundle,
     RunParams,
     load_log,
@@ -279,7 +280,9 @@ def run_cmd(
             raise
         raise click.ClickException(f"cannot resume {out}: {exc}")
     click.echo(f"config {config.id}: {len(log.entries)} steps -> {out_dir / LOG_FILENAME}")
-    click.echo(f"log digest: {log.digest()}")
+    # The manifest's digest is the running hash of the log bytes as written.
+    manifest = json.loads((out_dir / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+    click.echo(f"log digest: {manifest['log_digest']}")
 
 
 @main.command("matrix")

@@ -62,21 +62,24 @@ class Slot(Enum):
 
     @classmethod
     def from_label(cls, label: str) -> "Slot":
-        text = label.strip()
-        if "(" in text:
-            text = text.split("(")[0].strip()
-        normalized = text.lower()
-        for slot in cls:
-            if slot.label.lower() == normalized:
-                return slot
-        # Short forms used in prose ("Lunch", "Extracurricular").
-        aliases = {"lunch": cls.LUNCH, "extracurricular": cls.EXTRACURRICULAR}
-        if normalized in aliases:
-            return aliases[normalized]
-        raise ValueError(f"unknown slot label: {label!r}")
+        """The slot of a label, in any case, with or without a ``(...)``
+        suffix, or of the short forms "Lunch" and "Extracurricular"."""
+        slot = _SLOT_BY_LABEL.get(label)
+        if slot is None:
+            slot = _SLOT_BY_LABEL.get(label.split("(")[0].strip().lower())
+        if slot is None:
+            raise ValueError(f"unknown slot label: {label!r}")
+        return slot
 
 
 _SLOT_ORDER = list(Slot)
+# Exact labels, lower-cased labels and the short forms used in prose.
+_SLOT_BY_LABEL = {
+    **{slot.label: slot for slot in Slot},
+    **{slot.label.lower(): slot for slot in Slot},
+    "lunch": Slot.LUNCH,
+    "extracurricular": Slot.EXTRACURRICULAR,
+}
 SLOTS_PER_DAY = len(_SLOT_ORDER)
 PERIOD_SLOTS = tuple(s for s in _SLOT_ORDER if s.period_number is not None)
 
@@ -159,11 +162,14 @@ class AreaMap:
 
 @dataclass
 class EnvironmentState:
-    """Agent locations plus a movement log (single-writer: the orchestrator)."""
+    """Agent locations (single-writer per agent: the orchestrator).
+
+    Moves are not kept here: each one is returned to the caller, which logs
+    it in the step's entry.
+    """
 
     area_map: AreaMap
     locations: dict[str, str] = field(default_factory=dict)
-    move_log: list[dict] = field(default_factory=list)
 
     def place(self, agent_id: str, area: str) -> None:
         self.locations[agent_id] = self.area_map.canonical(area)
@@ -173,7 +179,6 @@ class EnvironmentState:
         origin = self.locations.get(agent_id)
         delta = {"agent_id": agent_id, "from": origin, "to": target}
         self.locations[agent_id] = target
-        self.move_log.append(delta)
         return delta
 
 

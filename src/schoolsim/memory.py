@@ -27,20 +27,19 @@ Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
-from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
 from .config import BaseStructure, SimulationConfig
 from .embedding import Embedder
-from .environment import SimTime
+from .environment import SimTime, Slot
 from .errors import (
-    DimensionMismatchError,
     EmptyTextError,
     KindDisabledError,
     MemoryDisabledError,
@@ -52,7 +51,6 @@ DEFAULT_SHORT_TERM_CAPACITY = 32
 DEFAULT_SALIENCE_DECAY = 0.99
 LONG_TERM_SALIENCE = 0.5
 SHORT_TERM_SALIENCE = 1.0
-STORE_FORMAT = "memory-store-v2"
 
 
 class MemoryKind(Enum):
@@ -331,11 +329,11 @@ class MemoryStore:
         )
         return short_segment + long_segment
 
-    # Persistence. A store file is append-only: one header line with the
-    # fields that never change, then one JSON record per line with key order
-    # id, kind, day, slot, salience, text, vector (base64 little-endian f64).
-    # The fields that do change (short-term ids, ``now`` and the counters)
-    # are not in the file; ``state()`` returns them for the caller to keep.
+    # Persistence. ``save`` writes one JSON line per record, key order agent,
+    # id, kind, day, slot, salience, text. Vectors are not written: an
+    # embedding is a pure function of the text and the embedder, so ``load``
+    # embeds each text again. The fields that change (short-term ids, ``now``
+    # and the counters) are returned by ``state()`` for the caller to keep.
 
     def state(self) -> dict:
         return {
@@ -344,94 +342,51 @@ class MemoryStore:
             "counters": dict(self.counters),
         }
 
-    def save(self, path: str | Path, start: int = 0) -> int:
-        """Append the records from id ``start`` on to ``path``.
-
-        A missing or empty file gets the header line first. Returns the
-        number of bytes written.
-        """
-        lines = [
+    def save(self, handle: BinaryIO, start: int = 0) -> int:
+        """Write the records from id ``start`` on to the open binary
+        ``handle``; returns the number of bytes written."""
+        data = "".join(
             json.dumps(
                 {
+                    "agent": self.agent_id,
                     "id": record.id,
                     "kind": record.kind.value,
                     "day": record.created_at.day,
                     "slot": record.created_at.slot.label,
                     "salience": record.salience,
                     "text": record.text,
-                    "vector": base64.b64encode(
-                        record.embedding.astype("<f8").tobytes()
-                    ).decode("ascii"),
                 },
                 ensure_ascii=False,
             )
+            + "\n"
             for record in self._records[start:]
-        ]
-        with open(path, "ab") as handle:
-            if handle.tell() == 0:
-                header = {
-                    "format": STORE_FORMAT,
-                    "agent_id": self.agent_id,
-                    "dim": self.embedder.dim,
-                    "capacity": self.capacity,
-                    "decay": self.decay,
-                }
-                lines.insert(0, json.dumps(header, ensure_ascii=False))
-            data = "".join(line + "\n" for line in lines).encode("utf-8")
-            handle.write(data)
+        ).encode("utf-8")
+        handle.write(data)
         return len(data)
 
     @classmethod
     def load(
         cls,
-        path: str | Path,
+        agent_id: str,
         config: SimulationConfig,
         embedder: Embedder,
+        rows: Iterable[dict],
         state: dict | None = None,
-        length: int | None = None,
+        capacity: int = DEFAULT_SHORT_TERM_CAPACITY,
+        decay: float = DEFAULT_SALIENCE_DECAY,
     ) -> "MemoryStore":
-        """Read a store file, or its first ``length`` bytes, and apply
-        ``state`` (as returned by :meth:`state`) when given."""
-        from .environment import Slot
-
-        lines = read_prefix(path, length).decode("utf-8").splitlines()
-        header = json.loads(lines[0]) if lines else {}
-        if header.get("format") != STORE_FORMAT:
-            raise ValueError(
-                f"{path}: store format {header.get('format')!r} is not "
-                f"{STORE_FORMAT!r}; snapshots from older versions cannot be loaded"
+        """A store rebuilt from the record ``rows`` written by :meth:`save`,
+        in id order, with ``state`` (as returned by :meth:`state`) applied
+        when given. Each row goes through :meth:`insert`, so embeddings and
+        norms are those of the store that saved them."""
+        store = cls(agent_id, config, embedder, capacity=capacity, decay=decay)
+        for row in rows:
+            created_at = SimTime.at(row["day"], Slot.from_label(row["slot"]))
+            record_id = store.insert(
+                MemoryKind(row["kind"]), row["text"], created_at, salience=row["salience"]
             )
-        if header["dim"] != embedder.dim:
-            # Retrieval takes np.dot of record and query vectors directly.
-            raise DimensionMismatchError(
-                f"{path}: store vectors have dim {header['dim']}, "
-                f"the embedder {embedder.dim}"
-            )
-        store = cls(
-            header["agent_id"],
-            config,
-            embedder,
-            capacity=header["capacity"],
-            decay=header["decay"],
-        )
-        for line in lines[1:]:
-            row = json.loads(line)
-            record = MemoryRecord(
-                id=row["id"],
-                kind=MemoryKind(row["kind"]),
-                text=row["text"],
-                embedding=np.frombuffer(
-                    base64.b64decode(row["vector"]), dtype="<f8"
-                ).copy(),
-                created_at=SimTime.at(row["day"], Slot.from_label(row["slot"])),
-                salience=row["salience"],
-            )
-            # Record id doubles as the list index; the file preserves order.
-            if record.id != len(store._records):
-                raise ValueError(f"store records out of order at id {record.id}")
-            store._records.append(record)
-            store._norms.append(float(np.linalg.norm(record.embedding)))
-        store._next_id = len(store._records)
+            if record_id != row["id"]:
+                raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
         if state is not None:
             store._short_term = list(state["short_term"])
             store._now = SimTime.at(
@@ -442,12 +397,3 @@ class MemoryStore:
         if missing:
             raise ValueError(f"short-term ids without records: {missing}")
         return store
-
-
-def read_prefix(path: str | Path, length: int | None = None) -> bytes:
-    """The whole file, or exactly its first ``length`` bytes."""
-    with open(path, "rb") as handle:
-        data = handle.read(-1 if length is None else length)
-    if length is not None and len(data) != length:
-        raise ValueError(f"{path} holds {len(data)} bytes, fewer than {length}")
-    return data

@@ -59,7 +59,6 @@ from .memory import (
     MemoryStore,
     MemoryUpdate,
     RetrievalPolicy,
-    read_prefix,
 )
 from .prompts import MEMORY_UPDATE_HEADER, MEMORY_UPDATE_TEMPLATE, ROLE_UPDATE_HEADER
 
@@ -68,8 +67,10 @@ logger = logging.getLogger(__name__)
 LOG_FILENAME = "log.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 CHECKPOINT_DIRNAME = "checkpoint"
-STATE_FILENAME = "state.json"
-CHECKPOINT_FORMAT = "checkpoint-v2"
+JOURNAL_FILENAME = "journal.jsonl"
+CHECKPOINT_FORMAT = "checkpoint-v3"
+# Commit lines are the only journal lines that start with this.
+_COMMIT_PREFIX = b'{"commit": '
 
 
 @dataclass(frozen=True)
@@ -181,8 +182,10 @@ def _log_lines(meta: dict | None, entries: list[InteractionLogEntry]) -> str:
 
 def load_log(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a log file back as (meta, raw entry dicts)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    if not lines:
+    # Lines end in "\n" only: JSON leaves U+2028 and U+0085 unescaped, and
+    # str.splitlines would split on them.
+    lines = Path(path).read_text(encoding="utf-8").split("\n")
+    if not lines[0].strip():
         raise ValueError(f"empty log file: {path}")
     head = json.loads(lines[0])
     if "meta" not in head:
@@ -285,13 +288,15 @@ class Simulation:
             "memory_update_parse_failures": 0,
             "rejected_moves": 0,
         }
-        # What the run directory holds so far: bytes of log.jsonl and of each
-        # store file, log entries and store records written, the log's hash.
+        # What the run directory holds so far: bytes of log.jsonl, log entries
+        # written, the log's hash, and each store's records in the journal.
         self._log_bytes = 0
         self._logged_entries = 0
         self._log_hash = hashlib.sha256()
-        self._store_bytes = {agent_id: 0 for agent_id in dataset.agent_ids}
-        self._stored_records = {agent_id: 0 for agent_id in dataset.agent_ids}
+        self._journaled = {agent_id: 0 for agent_id in dataset.agent_ids}
+        # log.jsonl and the journal, open while run() writes to them.
+        self._log_file = None
+        self._journal = None
 
     # Aggregated instrumentation for the manifest
 
@@ -461,27 +466,36 @@ class Simulation:
         return groups
 
     def run(self, out_dir: str | Path | None = None, jobs: int = 1) -> InteractionLog:
-        out_path = Path(out_dir) if out_dir else None
-        if out_path:
-            if not self._log_bytes:
-                # A fresh run: the store files must start empty.
-                shutil.rmtree(out_path / CHECKPOINT_DIRNAME, ignore_errors=True)
-            (out_path / CHECKPOINT_DIRNAME / "stores").mkdir(parents=True, exist_ok=True)
-        try:
+        if not out_dir:
             for group in self._slot_groups(self.completed_steps):
                 self._run_slot(group, jobs)
-                if out_path:
-                    self.save_checkpoint(out_path)
-        except ProviderError:
-            # Stores may hold partial mutations from the failed slot; the
-            # checkpoint from the last completed slot stays the resume point.
-            if out_path:
+            return self.log()
+        out_path = Path(out_dir)
+        ckpt = out_path / CHECKPOINT_DIRNAME
+        # A resumed run appends to the files restore_checkpoint cut back; a
+        # fresh one starts them, dropping any earlier checkpoint.
+        mode = "ab" if self._log_bytes else "wb"
+        if mode == "wb":
+            shutil.rmtree(ckpt, ignore_errors=True)
+            ckpt.mkdir(parents=True)
+        with (
+            open(out_path / LOG_FILENAME, mode) as self._log_file,
+            open(ckpt / JOURNAL_FILENAME, mode) as self._journal,
+        ):
+            if mode == "wb":
+                header = {"format": CHECKPOINT_FORMAT, **self._identity()}
+                self._journal.write(_json_line(header))
+            try:
+                for group in self._slot_groups(self.completed_steps):
+                    self._run_slot(group, jobs)
+                    self.save_checkpoint()
+            except ProviderError:
+                # Stores may hold partial mutations from the failed slot; the
+                # checkpoint from the last completed slot stays the resume point.
                 self._write_outputs(out_path, status="aborted")
-            raise
-        log = self.log()
-        if out_path:
+                raise
             self._write_outputs(out_path, status="completed")
-        return log
+        return self.log()
 
     def _run_slot(self, group: list[int], jobs: int) -> None:
         steps = self.dataset.steps
@@ -529,22 +543,22 @@ class Simulation:
         }
 
     def _write_outputs(self, out_path: Path, status: str) -> None:
-        self._append_log(out_path)
+        self._append_log()
+        self._log_file.flush()
         manifest = self.manifest(status, out_path)
         (out_path / MANIFEST_FILENAME).write_text(
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
 
-    def _append_log(self, out_path: Path) -> None:
+    def _append_log(self) -> None:
         """Append the entries not yet in log.jsonl, after its meta line."""
         meta = None if self._log_bytes else self.log_meta()
         new_entries = self.entries[self._logged_entries :]
         if meta is None and not new_entries:
             return
         data = _log_lines(meta, new_entries).encode("utf-8")
-        with open(out_path / LOG_FILENAME, "ab" if self._log_bytes else "wb") as handle:
-            handle.write(data)
+        self._log_file.write(data)
         self._log_hash.update(data)
         self._log_bytes += len(data)
         self._logged_entries = len(self.entries)
@@ -559,67 +573,84 @@ class Simulation:
             "provider": self.provider.name,
         }
 
-    def save_checkpoint(self, out_path: Path) -> None:
-        """Append what the last slot added, then commit it in state.json.
+    def save_checkpoint(self) -> None:
+        """Append what the last slot added, then commit it with one line.
 
-        The log and the store files only grow. state.json, replaced
-        atomically, is the commit point: it records how many bytes of each
-        belong to the checkpoint, so a save that fails before its commit
-        leaves the previous checkpoint intact.
+        log.jsonl gets the slot's entries and is flushed; the journal gets
+        one line per new memory record and then the commit line, which holds
+        the log's length and everything else a resume needs, and is flushed.
+        Both files only grow. A resume takes the last complete commit line,
+        so a save that stops before its commit leaves the previous
+        checkpoint intact.
         """
-        ckpt = out_path / CHECKPOINT_DIRNAME
-        self._append_log(out_path)
-        stores = {}
+        self._append_log()
+        self._log_file.flush()
         for agent_id, store in self.stores.items():
-            saved = self._stored_records[agent_id]
-            if not self._store_bytes[agent_id] or saved < store.long_term_size():
-                path = ckpt / "stores" / f"{agent_id}.mem"
-                self._store_bytes[agent_id] += store.save(path, start=saved)
-                self._stored_records[agent_id] = store.long_term_size()
-            stores[agent_id] = {"bytes": self._store_bytes[agent_id], **store.state()}
+            saved = self._journaled[agent_id]
+            if saved < store.long_term_size():
+                store.save(self._journal, start=saved)
+                self._journaled[agent_id] = store.long_term_size()
         state = {
-            "format": CHECKPOINT_FORMAT,
-            **self._identity(),
             "completed_steps": self.completed_steps,
             "log_bytes": self._log_bytes,
-            "stores": stores,
+            "stores": {agent_id: store.state() for agent_id, store in self.stores.items()},
             "roles": {
                 agent_id: serialize_role(role) for agent_id, role in self.roles.items()
             },
-            "locations": dict(sorted(self.env.locations.items())),
-            "move_log": self.env.move_log,
+            "locations": self.env.locations,
             "counters": self.counters,
         }
-        tmp = ckpt / (STATE_FILENAME + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(state, ensure_ascii=False, sort_keys=True))
-        os.replace(tmp, ckpt / STATE_FILENAME)
+        self._journal.write(_json_line({"commit": state}))
+        self._journal.flush()
 
     def restore_checkpoint(self, out_path: Path) -> None:
         """Load the last committed checkpoint and cut every file back to it."""
         out_path = Path(out_path)
         ckpt = out_path / CHECKPOINT_DIRNAME
-        state_path = ckpt / STATE_FILENAME
-        if not state_path.is_file():
+        journal_path = ckpt / JOURNAL_FILENAME
+        if not journal_path.is_file():
+            if (ckpt / "state.json").is_file():
+                raise ValueError(
+                    f"{ckpt} holds a checkpoint-v2 or memory-store-v1 checkpoint "
+                    "(state.json and store files), which cannot be resumed; "
+                    "start the run again without resume"
+                )
             raise ValueError(f"no checkpoint to resume in {out_path}")
-        state = json.loads(state_path.read_text(encoding="utf-8"))
-        if state.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"{state_path} is not a {CHECKPOINT_FORMAT} checkpoint; run "
-                "directories with memory-store-v1 snapshots cannot be resumed, "
-                "start the run again without resume"
-            )
+        # Newline-terminated lines only: a torn last line never committed.
+        lines = journal_path.read_bytes().split(b"\n")[:-1]
+        if not lines:
+            raise ValueError(f"no committed slot to resume in {journal_path}")
+        header = json.loads(lines[0])
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(f"{journal_path} is not a {CHECKPOINT_FORMAT} journal")
         for name, value in self._identity().items():
-            if state[name] != value:
+            if header[name] != value:
                 raise ValueError(
                     f"checkpoint was produced with a different {name}: "
-                    f"{state[name]!r}, not {value!r}"
+                    f"{header[name]!r}, not {value!r}"
                 )
+        last = len(lines) - 1
+        while last > 0 and not lines[last].startswith(_COMMIT_PREFIX):
+            last -= 1
+        if last == 0:
+            raise ValueError(f"no committed slot to resume in {journal_path}")
+        state = json.loads(lines[last])["commit"]
+        journal_bytes = sum(len(line) + 1 for line in lines[: last + 1])
+        rows: dict[str, list[dict]] = {agent_id: [] for agent_id in self.stores}
+        for line in lines[1:last]:
+            if not line.startswith(_COMMIT_PREFIX):
+                row = json.loads(line)
+                rows[row["agent"]].append(row)
+
         log_path = out_path / LOG_FILENAME
-        log_data = read_prefix(log_path, state["log_bytes"])
+        with open(log_path, "rb") as handle:
+            log_data = handle.read(state["log_bytes"])
+        if len(log_data) != state["log_bytes"]:
+            raise ValueError(
+                f"{log_path} holds {len(log_data)} bytes, fewer than {state['log_bytes']}"
+            )
         entries = [
-            _entry_from_dict(json.loads(line))
-            for line in log_data.decode("utf-8").splitlines()[1:]
+            _entry_from_dict(json.loads(line)) for line in log_data.split(b"\n")[1:-1]
         ]
         if len(entries) != state["completed_steps"]:
             raise ValueError(
@@ -628,18 +659,19 @@ class Simulation:
             )
         stores = {
             agent_id: MemoryStore.load(
-                ckpt / "stores" / f"{agent_id}.mem",
+                agent_id,
                 self.config,
                 self.embedder,
+                rows[agent_id],
                 state=saved,
-                length=saved["bytes"],
+                capacity=self.params.short_term_capacity,
+                decay=self.params.salience_decay,
             )
             for agent_id, saved in state["stores"].items()
         }
         # Everything read: drop the bytes written after the commit.
         os.truncate(log_path, state["log_bytes"])
-        for agent_id, saved in state["stores"].items():
-            os.truncate(ckpt / "stores" / f"{agent_id}.mem", saved["bytes"])
+        os.truncate(journal_path, journal_bytes)
 
         self.entries = entries
         self.completed_steps = state["completed_steps"]
@@ -648,13 +680,11 @@ class Simulation:
         self._log_hash = hashlib.sha256(log_data)
         self.stores.update(stores)
         for agent_id, store in stores.items():
-            self._store_bytes[agent_id] = state["stores"][agent_id]["bytes"]
-            self._stored_records[agent_id] = store.long_term_size()
+            self._journaled[agent_id] = store.long_term_size()
         for agent_id, text in state["roles"].items():
             self.roles[agent_id] = parse_role_text(text)
         self.counters = state["counters"]
-        self.env.locations = dict(state["locations"])
-        self.env.move_log = list(state["move_log"])
+        self.env.locations = state["locations"]
         # Working memory is the window of each agent's latest logged turns.
         for wm in self.working_memories.values():
             wm.turns.clear()
@@ -662,6 +692,10 @@ class Simulation:
             self.working_memories[entry.agent_id].append_turn(
                 entry.situation_text, entry.response
             )
+
+
+def _json_line(obj: dict) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _entry_from_dict(raw: dict) -> InteractionLogEntry:

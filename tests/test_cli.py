@@ -8,6 +8,10 @@ from click.testing import CliRunner
 
 from schoolsim.agent import TEACHER_FIELDS, load_role
 from schoolsim.cli import main
+from schoolsim.config import config_by_id
+from schoolsim.dataset import load_standard_group
+from schoolsim.fixtures import MemoryGatedProvider
+from schoolsim.simulation import run_simulation
 from schoolsim.prompts import ROLE_GENERATION_TEACHER
 
 
@@ -148,6 +152,36 @@ def test_run_same_seed_identical_digests(runner, cli_fixture_dir, tmp_path):
             [line for line in result.output.splitlines() if "digest" in line][0]
         )
     assert digests[0] == digests[1]
+
+
+def test_run_prints_the_manifest_log_digest(runner, cli_fixture_dir, tmp_path):
+    out = tmp_path / "run"
+    result = runner.invoke(
+        main,
+        [
+            "run",
+            "--dataset",
+            str(cli_fixture_dir),
+            "--config-id",
+            "1",
+            "--provider",
+            "memory-gated",
+            "--out",
+            str(out),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    printed = [line for line in result.output.splitlines() if "digest" in line]
+    manifest = json.loads((out / "manifest.json").read_text())
+    dataset = load_standard_group(cli_fixture_dir / "agents")
+    roles = {
+        agent_id: load_role(cli_fixture_dir / "roles" / f"{agent_id}.txt")
+        for agent_id in dataset.agent_ids
+    }
+    provider = MemoryGatedProvider.from_file(cli_fixture_dir / "gated_script.json")
+    log = run_simulation(dataset, roles, provider, config_by_id(1), seed=0)
+    assert printed == [f"log digest: {manifest['log_digest']}"]
+    assert manifest["log_digest"] == log.digest()
 
 
 def test_evaluate_replay_log_is_all_ones(runner, cli_fixture_dir, tmp_path):

@@ -34,6 +34,38 @@ def test_timetable_known_cells(timetables):
     assert scheduled_slot(timetables, "Class 2", SimTime.at(5, Slot.PERIOD5)) == "History"
 
 
+def _slot_by_scan(label: str) -> Slot | None:
+    """Slot.from_label as a normalise-then-scan reference."""
+    text = label.strip()
+    if "(" in text:
+        text = text.split("(")[0].strip()
+    normalized = text.lower()
+    for slot in Slot:
+        if slot.label.lower() == normalized:
+            return slot
+    return {"lunch": Slot.LUNCH, "extracurricular": Slot.EXTRACURRICULAR}.get(normalized)
+
+
+def test_slot_from_label_matches_a_scan_of_every_slot():
+    labels = [s.label for s in Slot] + [s.display for s in Slot]
+    for label in labels + ["Lunch", "Extracurricular"]:
+        for form in (
+            label,
+            label.upper(),
+            label.lower(),
+            label.swapcase(),
+            f"  {label}\t",
+            f"{label} (8:00-8:40)",
+            f" {label.upper()}  (late) ",
+        ):
+            assert _slot_by_scan(form) is not None, form
+            assert Slot.from_label(form) is _slot_by_scan(form), form
+    for bad in ("", "Period 6", "Lunch Breakfast", "(Period 1)", "Recess"):
+        assert _slot_by_scan(bad) is None
+        with pytest.raises(ValueError, match="unknown slot label"):
+            Slot.from_label(bad)
+
+
 def test_structural_slots(timetables):
     assert scheduled_slot(timetables, "Class 1", SimTime.at(3, Slot.LUNCH)) == "Lunch"
     assert scheduled_slot(timetables, "Class 2", SimTime.at(2, Slot.BREAK1)) == "Break"
@@ -83,8 +115,8 @@ def test_move_agent_updates_location_and_log():
 def test_move_to_current_area_is_still_logged():
     env = EnvironmentState(AreaMap.default())
     env.place("s01", "Library")
-    env.move_agent("s01", "Library")
-    assert len(env.move_log) == 1
+    delta = env.move_agent("s01", "Library")
+    assert delta == {"agent_id": "s01", "from": "Library", "to": "Library"}
     assert env.locations["s01"] == "Library"
 
 

@@ -1,8 +1,8 @@
 from __future__ import annotations
 
+import io
+import json
 import random
-import tempfile
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,6 @@ from schoolsim.config import config_by_id
 from schoolsim.embedding import HashedBagEmbedder, cosine
 from schoolsim.environment import SimTime, Slot
 from schoolsim.errors import (
-    DimensionMismatchError,
     EmptyTextError,
     KindDisabledError,
     MemoryDisabledError,
@@ -204,19 +203,27 @@ def test_update_field_names_match_contract():
     )
 
 
-def test_snapshot_roundtrip(tmp_path, embedder):
+def _rows(data: bytes) -> list[dict]:
+    return [json.loads(line) for line in data.splitlines()]
+
+
+def test_snapshot_roundtrip(embedder):
     store = make_store(embedder=embedder)
     store.insert(MemoryKind.EXPERIENCE, "first event", T0, salience=0.5)
     store.insert(MemoryKind.KNOWLEDGE, "a known fact", T1, salience=1.0, mark_short=True)
-    path = tmp_path / "agent.mem"
-    first = store.save(path)
+    handle = io.BytesIO()
+    first = store.save(handle)
     store.retrieve("first event")
-    # A later save appends only the records added since, after the header.
+    # A later save writes only the records added since.
     store.insert(MemoryKind.EXPERIENCE, "second event", T1, salience=0.5)
-    second = store.save(path, start=2)
-    assert path.stat().st_size == first + second
-    assert path.read_text("utf-8").count("memory-store-v2") == 1
-    loaded = MemoryStore.load(path, store.config, embedder, state=store.state())
+    second = store.save(handle, start=2)
+    assert len(handle.getvalue()) == first + second
+    assert store.save(handle, start=3) == 0
+    rows = _rows(handle.getvalue())
+    assert [list(row) for row in rows] == [
+        ["agent", "id", "kind", "day", "slot", "salience", "text"]
+    ] * 3
+    loaded = MemoryStore.load("a01", store.config, embedder, rows, state=store.state())
     assert loaded.short_term_ids == store.short_term_ids
     assert loaded.state() == store.state()
     assert len(loaded.records) == len(store.records)
@@ -233,31 +240,13 @@ def test_snapshot_roundtrip(tmp_path, embedder):
     assert [
         (r.id, s) for r, s in loaded.retrieve("a known fact about events")
     ] == [(r.id, s) for r, s in store.retrieve("a known fact about events")]
-    # Reading a committed prefix drops the records past it.
-    prefix = MemoryStore.load(path, store.config, embedder, length=first)
+    # Rows past the ones given are not in the store.
+    prefix = MemoryStore.load("a01", store.config, embedder, rows[:2])
     assert [r.text for r in prefix.records] == ["first event", "a known fact"]
-    with pytest.raises(ValueError, match="fewer than"):
-        MemoryStore.load(path, store.config, embedder, length=first + second + 1)
-
-
-def test_load_refuses_an_embedder_of_another_dim(tmp_path, embedder):
-    store = make_store(embedder=embedder)
-    store.insert(MemoryKind.EXPERIENCE, "first event", T0)
-    path = tmp_path / "agent.mem"
-    store.save(path)
-    with pytest.raises(DimensionMismatchError, match="dim 64"):
-        MemoryStore.load(path, store.config, HashedBagEmbedder(dim=32))
-
-
-def test_snapshot_v1_format_is_refused(tmp_path, embedder):
-    path = tmp_path / "agent.mem"
-    path.write_text(
-        '{"format": "memory-store-v1", "agent_id": "a", "dim": 256, "capacity": 32, '
-        '"decay": 0.99, "now": {"day": 1, "slot": "P1"}, "short_term": []}\n',
-        encoding="utf-8",
-    )
-    with pytest.raises(ValueError, match="memory-store-v1"):
-        MemoryStore.load(path, config_by_id(1), embedder)
+    with pytest.raises(ValueError, match="out of order"):
+        MemoryStore.load("a01", store.config, embedder, rows[1:])
+    with pytest.raises(ValueError, match="without records"):
+        MemoryStore.load("a01", store.config, embedder, rows[:1], state=store.state())
 
 
 def _random_store(rng: random.Random, n_records: int, config_id: int) -> MemoryStore:
@@ -342,10 +331,13 @@ def test_retrieve_similarities_equal_canonical_cosine_bit_for_bit(
             mark_short=mark_short,
         )
     built = [_assert_bit_parity(store, query) for query in queries]
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "h.mem"
-        store.save(path)
-        loaded = MemoryStore.load(
-            path, config, HashedBagEmbedder(dim=32), state=store.state()
-        )
+    handle = io.BytesIO()
+    store.save(handle)
+    loaded = MemoryStore.load(
+        "h", config, HashedBagEmbedder(dim=32), _rows(handle.getvalue()),
+        state=store.state(), capacity=8,
+    )
+    assert [r.embedding.tobytes() for r in loaded.records] == [
+        r.embedding.tobytes() for r in store.records
+    ]
     assert [_assert_bit_parity(loaded, query) for query in queries] == built

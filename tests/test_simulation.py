@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import builtins
 import json
-import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -200,7 +200,7 @@ def test_abort_leaves_resumable_checkpoint(tmp_path, mini_dataset, mini_fixture)
         run_simulation(
             mini_dataset, roles, FlakyProvider(), config_by_id(1), seed=0, out_dir=out
         )
-    assert (out / "checkpoint" / "state.json").exists()
+    assert (out / "checkpoint" / "journal.jsonl").exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "aborted"
     assert 0 < manifest["completed_steps"] < mini_dataset.qa_count
@@ -275,7 +275,7 @@ def test_resumed_run_directory_equals_uninterrupted(
     with pytest.raises(ProviderError):
         _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
     _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
-    # Counters included: the stores' counters come back from state.json.
+    # Counters included: the stores' counters come back from the commit line.
     assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
     assert _run_dir_files(out) == _run_dir_files(reference_run)
 
@@ -312,9 +312,39 @@ def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_ru
         )
 
 
+def _downgrade_to_checkpoint_v2(run_dir: Path) -> None:
+    """Replace a run directory's journal by the checkpoint-v2 layout of the
+    same state: checkpoint/state.json plus one memory-store-v2 file per agent."""
+    ckpt = run_dir / "checkpoint"
+    journal = ckpt / "journal.jsonl"
+    lines = [json.loads(line) for line in journal.read_text("utf-8").splitlines()]
+    journal.unlink()
+    header, commit = lines[0], lines[-1]["commit"]
+    (ckpt / "stores").mkdir()
+    stores = {}
+    for agent_id, saved in commit["stores"].items():
+        rows = [dict(row, vector="") for row in lines[1:-1] if row.get("agent") == agent_id]
+        text = "".join(
+            json.dumps(row) + "\n"
+            for row in [{"format": "memory-store-v2", "agent_id": agent_id}] + rows
+        )
+        (ckpt / "stores" / f"{agent_id}.mem").write_text(text, "utf-8")
+        stores[agent_id] = {"bytes": len(text.encode("utf-8")), **saved}
+    state = {**header, **commit, "format": "checkpoint-v2", "stores": stores, "move_log": []}
+    (ckpt / "state.json").write_text(json.dumps(state), "utf-8")
+
+
+def test_resume_refuses_a_checkpoint_v2_directory(mini_dataset, mini_fixture, reference_run):
+    _downgrade_to_checkpoint_v2(reference_run)
+    with pytest.raises(ValueError, match="checkpoint-v2") as excinfo:
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+    assert "memory-store-v1" in str(excinfo.value)
+
+
 def test_resume_refuses_a_memory_store_v1_checkpoint(
     mini_dataset, mini_fixture, reference_run
 ):
+    _downgrade_to_checkpoint_v2(reference_run)
     # The layout before append-only checkpoints: full store snapshots with
     # their mutable fields in the header, role files, no format or lengths.
     ckpt = reference_run / "checkpoint"
@@ -332,91 +362,183 @@ def test_resume_refuses_a_memory_store_v1_checkpoint(
         _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
 
 
-def _fail_inside_checkpoint(monkeypatch, number: int, fail_at: int | None, torn: bool):
-    """Break write ``fail_at`` (0-based) of checkpoint ``number``.
+class _Crash:
+    """Where a run crashes: call ``fail_at`` (0-based) of the writes and
+    flushes made inside checkpoint ``number``, or nowhere when it is None."""
 
-    Writes are the file opens for writing or appending and the calls to
-    ``os.replace``. A broken open raises before anything is written, or with
-    ``torn`` writes half of its data and then raises. Returns the list of
-    writes seen inside that checkpoint.
+    def __init__(self, number: int, fail_at: int | None, torn: bool):
+        self.number = number
+        self.fail_at = fail_at
+        self.torn = torn
+        self.seen: list[str] = []
+        self.armed = False
+        self.crashed = False
+
+    def call(self, what: str, tear) -> None:
+        if not self.armed:
+            return
+        self.seen.append(what)
+        if len(self.seen) - 1 == self.fail_at:
+            if self.torn:
+                tear()
+            self.crashed = True
+            raise OSError(f"injected crash at {what}")
+
+
+class _CrashableFile:
+    """A binary file opened for writing that holds its own buffer, so that a
+    crash drops the bytes never flushed, as a killed process would.
+
+    A crashing write first puts the buffer and, when torn, half its data on
+    disk (a buffer that filled up part way through); a crashing flush puts
+    half the buffer on disk when torn, nothing otherwise.
     """
+
+    def __init__(self, raw, crash: _Crash):
+        self.raw = raw
+        self.name = Path(raw.name).name
+        self.crash = crash
+        self.pending = b""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def write(self, data: bytes) -> int:
+        self.crash.call(
+            f"write {self.name}",
+            lambda: self.raw.write(self.pending + data[: len(data) // 2]),
+        )
+        self.pending += data
+        return len(data)
+
+    def flush(self) -> None:
+        self.crash.call(
+            f"flush {self.name}",
+            lambda: self.raw.write(self.pending[: len(self.pending) // 2]),
+        )
+        self.raw.write(self.pending)
+        self.pending = b""
+
+    def close(self) -> None:
+        if not self.crash.crashed:
+            self.raw.write(self.pending)
+        self.raw.close()
+
+
+def _crash_inside_checkpoint(monkeypatch, crash: _Crash) -> None:
+    """Route the run's binary writes through ``_CrashableFile`` and arm
+    ``crash`` for the length of checkpoint ``crash.number``."""
     real_save = Simulation.save_checkpoint
     real_open = builtins.open
-    real_replace = os.replace
-    seen: list[str] = []
     saves = []
 
-    class Torn:
-        def __init__(self, handle):
-            self.handle = handle
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.handle.close()
-
-        def __getattr__(self, name):
-            return getattr(self.handle, name)
-
-        def write(self, data):
-            self.handle.write(data[: len(data) // 2])
-            raise OSError("torn write")
-
-    def broken(kind: str) -> bool:
-        seen.append(kind)
-        return len(seen) - 1 == fail_at
-
     def open_(file, mode="r", *args, **kwargs):
-        if not set(mode) & set("wa"):
-            return real_open(file, mode, *args, **kwargs)
-        if broken(f"open {Path(file).name}"):
-            if not torn:
-                raise OSError("injected open failure")
-            return Torn(real_open(file, mode, *args, **kwargs))
+        if "b" in mode and set(mode) & set("wa"):
+            return _CrashableFile(real_open(file, mode, buffering=0), crash)
         return real_open(file, mode, *args, **kwargs)
 
-    def replace(src, dst):
-        if broken(f"replace {Path(dst).name}"):
-            raise OSError("injected replace failure")
-        real_replace(src, dst)
+    def save_checkpoint(self):
+        saves.append(None)
+        crash.armed = len(saves) == crash.number
+        try:
+            real_save(self)
+        finally:
+            crash.armed = False
 
-    def save_checkpoint(self, out_path):
-        saves.append(out_path)
-        if len(saves) != number:
-            return real_save(self, out_path)
-        with monkeypatch.context() as patch:
-            patch.setattr(builtins, "open", open_)
-            patch.setattr(os, "replace", replace)
-            real_save(self, out_path)
-
+    monkeypatch.setattr(builtins, "open", open_)
     monkeypatch.setattr(Simulation, "save_checkpoint", save_checkpoint)
-    return seen
 
 
-@pytest.mark.parametrize("torn", [False, True], ids=["open-fails", "torn-write"])
+@pytest.mark.parametrize("torn", [False, True], ids=["write-fails", "torn-write"])
 def test_crash_at_any_checkpoint_write_resumes_byte_identical(
     tmp_path, monkeypatch, mini_dataset, mini_fixture, reference_run, torn
 ):
     expected = _run_dir_files(reference_run)
-    writes = _fail_inside_checkpoint(monkeypatch, 3, None, torn)
+    counting = _Crash(3, None, torn)
+    _crash_inside_checkpoint(monkeypatch, counting)
     _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=tmp_path / "count")
-    # The log, at least one store file, state.json's temp file, its rename.
-    assert writes[0] == "open log.jsonl" and writes[-1] == "replace state.json"
-    assert len(writes) >= 4
-    for fail_at in range(len(writes)):
-        if torn and writes[fail_at].startswith("replace"):
-            continue
+    monkeypatch.undo()
+    assert _run_dir_files(tmp_path / "count") == expected
+    # The slot's log entries, then its memory records and the commit line.
+    assert counting.seen[:2] == ["write log.jsonl", "flush log.jsonl"]
+    assert counting.seen[-2:] == ["write journal.jsonl", "flush journal.jsonl"]
+    assert len(counting.seen) >= 5
+    for fail_at, what in enumerate(counting.seen):
         out = tmp_path / f"fail-{fail_at}"
-        monkeypatch.undo()
-        _fail_inside_checkpoint(monkeypatch, 3, fail_at, torn)
-        with pytest.raises(OSError):
+        _crash_inside_checkpoint(monkeypatch, _Crash(3, fail_at, torn))
+        with pytest.raises(OSError, match="injected crash"):
             _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out)
         monkeypatch.undo()
         _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
         files = _run_dir_files(out)
-        assert files["log.jsonl"] == expected["log.jsonl"], writes[fail_at]
-        assert files == expected, writes[fail_at]
+        assert files["log.jsonl"] == expected["log.jsonl"], what
+        assert files == expected, what
+
+
+def test_resume_ignores_a_commit_line_without_its_newline(
+    tmp_path, mini_dataset, mini_fixture, reference_run
+):
+    out = tmp_path / "torn"
+    shutil.copytree(reference_run, out)
+    journal = out / "checkpoint" / "journal.jsonl"
+    data = journal.read_bytes()
+    assert data.endswith(b"\n") and data.rsplit(b"\n", 2)[1].startswith(b'{"commit": ')
+    journal.write_bytes(data[:-1])
+    sim = Simulation(
+        mini_dataset,
+        load_roles_dir(mini_fixture.roles_dir),
+        MemoryGatedProvider.from_file(mini_fixture.script_path),
+        config_by_id(1),
+        seed=0,
+    )
+    sim.restore_checkpoint(out)
+    # The commit before the torn one is that of the next-to-last slot.
+    assert sim.completed_steps == _final_slot_start(mini_dataset)
+    assert len(sim.entries) == sim.completed_steps
+    sim.run(out)
+    assert _run_dir_files(out) == _run_dir_files(reference_run)
+    assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
+
+
+def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixture):
+    runs = [tmp_path / "jobs-1", tmp_path / "jobs-8"]
+    for out, jobs in zip(runs, (1, 8)):
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, jobs=jobs)
+    assert _run_dir_files(runs[0]) == _run_dir_files(runs[1])
+    assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
+
+
+def test_line_separators_in_text_survive_log_and_resume(tmp_path, mini_dataset, mini_fixture):
+    # JSON leaves U+2028 and U+0085 unescaped; they must not split a line.
+    text = "first\u2028second\x85third"
+    answer = json.dumps(
+        {
+            "long_term_experience_updates": [text],
+            "long_term_knowledge_updates": [],
+            "short_term_experience_content": [text],
+            "short_term_knowledge_content": [],
+        },
+        ensure_ascii=False,
+    )
+    provider = ScriptedProvider({}, fallback=answer)
+    out = tmp_path / "run"
+    log = _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    _meta, entries = load_log(out / "log.jsonl")
+    assert [entry["response"] for entry in entries] == log.responses()
+    sim = Simulation(
+        mini_dataset,
+        load_roles_dir(mini_fixture.roles_dir),
+        ScriptedProvider({}, fallback=answer),
+        config_by_id(1),
+        seed=0,
+    )
+    sim.restore_checkpoint(out)
+    assert sim.log().to_jsonl() == log.to_jsonl()
+    records = [r for store in sim.stores.values() for r in store.records]
+    assert records and all(r.text == text for r in records)
 
 
 def test_manifest_counters_reflect_config_gating(tmp_path, full_dataset, full_fixture):
