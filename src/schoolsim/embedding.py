@@ -10,6 +10,7 @@ tests need.
 from __future__ import annotations
 
 import hashlib
+import math
 import re
 from typing import Protocol
 
@@ -22,10 +23,17 @@ DEFAULT_SEED = 0
 
 # Unicode alphanumeric runs; underscore is treated as a separator.
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
+# On lowered ASCII text the runs are [a-z0-9]+, so every other ASCII
+# character can become a space and str.split() finds the same runs.
+_ASCII_SEPARATORS = str.maketrans(
+    {c: " " for c in map(chr, range(128)) if not c.isalnum()}
+)
 
 
 def split_tokens(text: str) -> list[str]:
     """Lowercase and split into alphanumeric runs."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEPARATORS).split()
     return _TOKEN_RE.findall(text.lower())
 
 
@@ -96,10 +104,11 @@ class HashedBagEmbedder:
         vec = np.bincount(
             buckets, weights=[sign for _, sign in codes], minlength=self.dim
         )
-        norm = float(np.linalg.norm(vec))
+        # np.linalg.norm's own expression for a vector, so the same bits.
+        norm = math.sqrt(vec.dot(vec))
         if norm == 0.0:
             # Signed counts of repeated tokens can cancel; fall back to the
             # unsigned bag so the output is never the zero vector.
             vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
-            norm = float(np.linalg.norm(vec))
+            norm = math.sqrt(vec.dot(vec))
         return vec / norm

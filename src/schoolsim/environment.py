@@ -11,7 +11,6 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from pathlib import Path
 
 from .agent import RoleKind
 from .errors import (
@@ -233,10 +232,6 @@ def load_default_timetables() -> dict[str, Timetable]:
         text = resources.files("schoolsim.data").joinpath(filename).read_text("utf-8")
         tables[class_id] = Timetable.parse(class_id, text)
     return tables
-
-
-def load_timetable_file(class_id: str, path: str | Path) -> Timetable:
-    return Timetable.parse(class_id, Path(path).read_text(encoding="utf-8"))
 
 
 def scheduled_slot(

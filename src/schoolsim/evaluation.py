@@ -32,6 +32,11 @@ DEFAULT_BETA = 1.0
 # Compatibility Ideographs); everything else between them is one token.
 _CJK = "\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff"
 _TOKEN = re.compile(f"[{_CJK}]|[^{_CJK}]+")
+# The ASCII characters of a P* category. On ASCII text NFC changes nothing,
+# stripping them is str.strip, and a chunk holds no CJK, so it stays whole.
+_ASCII_PUNCTUATION = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
 
 
 def _strip_punctuation(token: str) -> str:
@@ -50,6 +55,9 @@ def _strip_punctuation(token: str) -> str:
 
 def tokenize(text: str) -> list[str]:
     """Metric tokenizer; see the module docstring for the exact rule."""
+    if text.isascii():
+        chunks = (chunk.strip(_ASCII_PUNCTUATION) for chunk in text.lower().split())
+        return [chunk for chunk in chunks if chunk]
     normalized = unicodedata.normalize("NFC", text).lower()
     tokens: list[str] = []
     for chunk in normalized.split():

@@ -9,10 +9,14 @@ Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
 
 * similarity is the canonical cosine of the query embedding and the record
   embedding; a record qualifies when similarity is strictly above
-  ``min_similarity``. ``retrieve`` evaluates cosine's own expression with
-  one ``np.dot`` per record and cached norms, so the bits are the same; a
-  different summation order (a mat-vec over all records, say) rounds
-  differently, reorders ties and is a behaviour change;
+  ``min_similarity``. ``retrieve`` evaluates cosine's own expression for
+  all records at once: one ``np.vecdot`` of the store's embedding rows with
+  the query (one per block of ``BLOCK_ROWS`` rows), whose float64 loop
+  sends each row through the same BLAS ``ddot`` that ``np.dot`` calls,
+  then the cached norms, the division and the clip elementwise, which IEEE
+  rounds as it rounds the scalar expressions. So the bits are the same. A
+  mat-vec (``M @ q``, BLAS ``gemv``) or ``einsum`` sums in another order,
+  rounds differently, reorders ties and is a behaviour change;
 * with the short/long-term hierarchy enabled, the result is the top
   ``k_short`` qualifying short-term records followed by the top ``k_long``
   qualifying long-term records not already returned; with the hierarchy
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -47,6 +52,11 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
+# Rows per embedding block. Blocks are never resized, so a record's embedding
+# can be a view of its row for the life of the store. Retrieval makes one
+# np.vecdot call per block. The fixture's stores reach 98 records, so its
+# pinned runs cross a block boundary.
+BLOCK_ROWS = 64
 DEFAULT_SHORT_TERM_CAPACITY = 32
 DEFAULT_SALIENCE_DECAY = 0.99
 LONG_TERM_SALIENCE = 0.5
@@ -139,8 +149,12 @@ class MemoryStore:
         self.capacity = capacity
         self.decay = decay
         self._records: list[MemoryRecord] = []
-        # L2 norm of each record's embedding, by record id.
-        self._norms: list[float] = []
+        # Record i's embedding is row i % BLOCK_ROWS of block i // BLOCK_ROWS.
+        self._blocks: list[np.ndarray] = []
+        # By record id: the L2 norm of its embedding, and whether it is an
+        # experience. Both grow a block's worth at a time.
+        self._norms = np.empty(0)
+        self._experience = np.empty(0, dtype=bool)
         self._short_term: list[int] = []
         self._next_id = 0
         self._now = SimTime(1, 0)
@@ -183,16 +197,30 @@ class MemoryStore:
             )
         if not text or not text.strip():
             raise EmptyTextError("memory text must be non-empty")
+        vector = self.embedder.embed(text)
+        record_id = self._next_id
+        row_index = record_id % BLOCK_ROWS
+        if row_index == 0:
+            self._blocks.append(np.empty((BLOCK_ROWS, self.embedder.dim)))
+            self._norms = np.concatenate((self._norms, np.empty(BLOCK_ROWS)))
+            self._experience = np.concatenate(
+                (self._experience, np.empty(BLOCK_ROWS, dtype=bool))
+            )
+        row = self._blocks[-1][row_index]
+        row[:] = vector
+        row.flags.writeable = False
+        # np.linalg.norm's own expression for a vector, so the same bits.
+        self._norms[record_id] = math.sqrt(row.dot(row))
+        self._experience[record_id] = kind is MemoryKind.EXPERIENCE
         record = MemoryRecord(
-            id=self._next_id,
+            id=record_id,
             kind=kind,
             text=text,
-            embedding=self.embedder.embed(text),
+            embedding=row,
             created_at=timestamp,
             salience=salience,
         )
         self._records.append(record)
-        self._norms.append(float(np.linalg.norm(record.embedding)))
         self._next_id += 1
         if timestamp.ordinal > self._now.ordinal:
             self._now = timestamp
@@ -263,35 +291,21 @@ class MemoryStore:
 
     # Retrieval
 
-    def _rank(
-        self, candidates: list[tuple[MemoryRecord, float]], limit: int
-    ) -> list[tuple[MemoryRecord, float]]:
-        ordered = sorted(candidates, key=lambda pair: (-pair[1], pair[0].id))
-        return ordered[:limit]
-
-    def _long_term_segment(
-        self,
-        scored: dict[int, float],
-        exclude: set[int],
-        budget: int,
-    ) -> list[tuple[MemoryRecord, float]]:
-        pool = [
-            (record, scored[record.id])
-            for record in self._records
-            if record.id not in exclude and record.id in scored
-        ]
+    def _long_term_segment(self, ranked: np.ndarray, budget: int) -> np.ndarray:
+        """The ids of ``ranked`` that the long-term segment takes, in ranked
+        order: the first ``budget``, or under the dual structure with both
+        kinds enabled the first ``budget - budget // 2`` experiences and the
+        first ``budget // 2`` knowledge records."""
         both_kinds = self.config.eb_enabled and self.config.kb_enabled
         if self.config.base_structure is BaseStructure.DUAL and both_kinds:
-            exp_quota = budget - budget // 2
-            kn_quota = budget // 2
-            experience = self._rank(
-                [p for p in pool if p[0].kind is MemoryKind.EXPERIENCE], exp_quota
+            experience = self._experience[ranked]
+            keep = np.where(
+                experience,
+                np.cumsum(experience) <= budget - budget // 2,
+                np.cumsum(~experience) <= budget // 2,
             )
-            knowledge = self._rank(
-                [p for p in pool if p[0].kind is MemoryKind.KNOWLEDGE], kn_quota
-            )
-            return sorted(experience + knowledge, key=lambda p: (-p[1], p[0].id))
-        return self._rank(pool, budget)
+            return ranked[keep]
+        return ranked[:budget]
 
     def retrieve(
         self, query: str, policy: RetrievalPolicy | None = None
@@ -301,33 +315,40 @@ class MemoryStore:
             raise MemoryDisabledError(f"{self.agent_id}: memory base is disabled")
         policy = policy or RetrievalPolicy()
         self.counters["retrieve_calls"] += 1
-        if not self._records:
+        n = len(self._records)
+        if not n:
             return []
         query_vec = self.embedder.embed(query)
-        query_norm = float(np.linalg.norm(query_vec))
-        scored: dict[int, float] = {}
-        for record, norm in zip(self._records, self._norms):
-            # embedding.cosine's expression, operand for operand.
-            sim = float(np.dot(query_vec, record.embedding)) / (query_norm * norm)
-            sim = max(-1.0, min(1.0, sim))
-            if sim > policy.min_similarity:
-                scored[record.id] = sim
-        if not self.config.stlt_enabled:
-            return self._long_term_segment(
-                scored, exclude=set(), budget=policy.k_short + policy.k_long
+        dots = np.empty(n)
+        for start, block in zip(range(0, n, BLOCK_ROWS), self._blocks):
+            np.vecdot(
+                block[: n - start], query_vec, out=dots[start : start + BLOCK_ROWS]
             )
-        self.counters["short_term_queries"] += 1
-        st_pool = [
-            (self._records[rid], scored[rid])
-            for rid in self._short_term
-            if rid in scored
+        # embedding.cosine's expression, operand for operand.
+        query_norm = math.sqrt(query_vec.dot(query_vec))
+        sims = np.clip(dots / (query_norm * self._norms[:n]), -1.0, 1.0)
+        # Qualifying ids in (-similarity, id) order: a stable sort keeps
+        # equal similarities in id order.
+        ranked = np.argsort(-sims, kind="stable")
+        ranked = ranked[sims[ranked] > policy.min_similarity]
+        if not self.config.stlt_enabled:
+            chosen = self._long_term_segment(ranked, policy.k_short + policy.k_long)
+        else:
+            self.counters["short_term_queries"] += 1
+            short_term = np.zeros(n, dtype=bool)
+            short_term[self._short_term] = True
+            in_short = short_term[ranked]
+            taken = in_short & (np.cumsum(in_short) <= policy.k_short)
+            chosen = np.concatenate(
+                (
+                    ranked[taken],
+                    self._long_term_segment(ranked[~taken], policy.k_long),
+                )
+            )
+        return [
+            (self._records[rid], sim)
+            for rid, sim in zip(chosen.tolist(), sims[chosen].tolist())
         ]
-        short_segment = self._rank(st_pool, policy.k_short)
-        taken = {record.id for record, _ in short_segment}
-        long_segment = self._long_term_segment(
-            scored, exclude=taken, budget=policy.k_long
-        )
-        return short_segment + long_segment
 
     # Persistence. ``save`` writes one JSON line per record, key order agent,
     # id, kind, day, slot, salience, text. Vectors are not written: an

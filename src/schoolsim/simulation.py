@@ -444,11 +444,17 @@ class Simulation:
         )
 
     def _reflection_summary(self, agent_id: str, day: int, latest_response: str) -> str:
+        # Entries are in chronological order, so the day's are the trailing ones.
+        todays: list[InteractionLogEntry] = []
+        for entry in reversed(self.entries):
+            if entry.time.day != day:
+                break
+            if entry.agent_id == agent_id:
+                todays.append(entry)
         lines = [f"Day {day} reflections:"]
-        for entry in self.entries:
-            if entry.agent_id == agent_id and entry.time.day == day:
-                first_line = entry.response.strip().splitlines()[0][:200]
-                lines.append(f"- At {entry.time.slot.display}: {first_line}")
+        for entry in reversed(todays):
+            first_line = entry.response.strip().splitlines()[0][:200]
+            lines.append(f"- At {entry.time.slot.display}: {first_line}")
         lines.append(f"- Latest: {latest_response.strip().splitlines()[0][:200]}")
         return "\n".join(lines)
 

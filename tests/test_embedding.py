@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import sys
 import threading
 
@@ -56,6 +57,25 @@ def test_punctuation_only_text_still_embeds(embedder):
 
 def test_token_split_is_alphanumeric_runs():
     assert split_tokens("Hello, world_two 3rd") == ["hello", "world", "two", "3rd"]
+
+
+def split_tokens_slow(text: str) -> list[str]:
+    """The split rule as one Unicode regex, with no ASCII fast path."""
+    return re.findall(r"[^\W_]+", text.lower())
+
+
+def test_split_tokens_every_ascii_code_point():
+    # Includes the separators str.split() treats as whitespace (\x1c-\x1f),
+    # the underscore and the S* symbols $+<=>^`|~.
+    for char in map(chr, range(128)):
+        for text in (char, f"a{char}B", f"{char}x9{char}{char}Y {char}", f"_{char}_"):
+            assert split_tokens(text) == split_tokens_slow(text), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=40))
+def test_split_tokens_matches_the_regex_on_ascii_text(text):
+    assert split_tokens(text) == split_tokens_slow(text)
 
 
 def test_cosine_hand_value():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import unicodedata
 
@@ -101,6 +102,38 @@ def test_strip_punctuation_every_code_point():
 )
 def test_strip_punctuation_matches_the_slow_loop(token):
     assert _strip_punctuation(token) == _strip_punctuation_slow(token)
+
+
+_CJK_RUNS = "[\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff]"
+
+
+def _tokenize_slow(text: str) -> list[str]:
+    """The module docstring's rule step by step, with no ASCII fast path."""
+    tokens: list[str] = []
+    for chunk in unicodedata.normalize("NFC", text).lower().split():
+        chunk = _strip_punctuation_slow(chunk)
+        if chunk:
+            tokens.extend(re.findall(f"{_CJK_RUNS}|(?:(?!{_CJK_RUNS}).)+", chunk))
+    return tokens
+
+
+def test_tokenize_every_ascii_code_point():
+    # Includes the separators str.split() treats as whitespace (\x1c-\x1f),
+    # the underscore (P*) and the S* symbols $+<=>^`|~, which are kept.
+    for char in map(chr, range(128)):
+        for text in (char, f"{char}a{char}", f"A{char}b", f"{char}{char}x y{char} {char}z"):
+            assert tokenize(text) == _tokenize_slow(text), repr(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(st.characters(max_codepoint=127), max_size=40))
+def test_tokenize_matches_the_slow_rule_on_ascii_text(text):
+    assert tokenize(text) == _tokenize_slow(text)
+
+
+def test_tokenize_non_ascii_text_matches_the_slow_rule():
+    text = "«Bonjour», dit-il: 复习了 été… ok"
+    assert tokenize(text) == _tokenize_slow(text)
 
 
 def test_rouge_hand_value():

@@ -4,6 +4,7 @@ import io
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,13 @@ from schoolsim.errors import (
     KindDisabledError,
     MemoryDisabledError,
 )
-from schoolsim.memory import MemoryKind, MemoryStore, MemoryUpdate, RetrievalPolicy
+from schoolsim.memory import (
+    BLOCK_ROWS,
+    MemoryKind,
+    MemoryStore,
+    MemoryUpdate,
+    RetrievalPolicy,
+)
 
 T0 = SimTime.at(1, Slot.PERIOD1)
 T1 = SimTime.at(1, Slot.PERIOD2)
@@ -341,3 +348,56 @@ def test_retrieve_similarities_equal_canonical_cosine_bit_for_bit(
         r.embedding.tobytes() for r in store.records
     ]
     assert [_assert_bit_parity(loaded, query) for query in queries] == built
+
+
+_BOUNDARY_SIZES = sorted(
+    {n + d for n in (BLOCK_ROWS, 2 * BLOCK_ROWS) for d in (-1, 0, 1)}
+)
+
+
+def _store_of_size(dim: int, size: int) -> MemoryStore:
+    rng = random.Random(dim * 1000 + size)
+    store = MemoryStore("b", config_by_id(1), HashedBagEmbedder(dim=dim), capacity=8)
+    for i in range(size):
+        text = " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(1, 6)))
+        store.insert(
+            rng.choice(list(MemoryKind)), text, SimTime(1 + i % 5, i % 10),
+            mark_short=rng.random() < 0.3,
+        )
+    return store
+
+
+@pytest.mark.parametrize("size", _BOUNDARY_SIZES)
+@pytest.mark.parametrize("dim", [3, 7, 32, 256])
+def test_similarities_equal_cosine_at_every_block_boundary(dim, size):
+    store = _store_of_size(dim, size)
+    handle = io.BytesIO()
+    store.save(handle)
+    loaded = MemoryStore.load(
+        "b", store.config, HashedBagEmbedder(dim=dim), _rows(handle.getvalue()),
+        state=store.state(), capacity=8,
+    )
+    for query in ("word1 word2", "word3", "word0 word0 word7 word11"):
+        built = _assert_bit_parity(store, query)
+        assert _assert_bit_parity(loaded, query) == built
+        for each in (store, loaded):
+            got = [(r.id, s) for r, s in each.retrieve(query)]
+            assert got == oracle_retrieve(each, query, RetrievalPolicy())
+
+
+def test_record_embeddings_are_read_only_views_that_never_move():
+    store = _store_of_size(16, 1)
+    first = store.get(0).embedding
+    expected = first.tobytes()
+    for i in range(2 * BLOCK_ROWS):
+        store.insert(MemoryKind.KNOWLEDGE, f"word{i % 12} fact {i}", T0)
+    assert store.get(0).embedding is first
+    assert first.tobytes() == expected
+    for record in store.records:
+        assert not record.embedding.flags.writeable
+        assert record.embedding.tobytes() == store.embedder.embed(record.text).tobytes()
+        assert np.shares_memory(
+            record.embedding, store._blocks[record.id // BLOCK_ROWS]
+        )
+    with pytest.raises(ValueError):
+        first[0] = 0.0

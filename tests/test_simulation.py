@@ -606,3 +606,49 @@ def test_matrix_log_digests_are_pinned(tmp_path):
         for cfg in config_matrix()
     }
     assert digests == MATRIX_DIGESTS
+
+
+def test_standard_group_log_digests_are_pinned(ablation_runs):
+    # Seed 0 on the standard group (10 teachers, 40 students, 5 days).
+    runs, _elapsed = ablation_runs
+    assert runs[1][0].digest() == (
+        "88186a056d29a267bdea912016098053fec1625127109818646fc64f30d715cc"
+    )
+    assert runs[9][0].digest() == (
+        "15117f23e2950b2e5aab802e860d2c45f327c2855fa62289d2d3f2a6a209aa8e"
+    )
+
+
+def _reflection_summary_full_scan(
+    entries: list, agent_id: str, day: int, latest_response: str
+) -> str:
+    """The reflection summary read off every logged entry of the run."""
+    lines = [f"Day {day} reflections:"]
+    for entry in entries:
+        if entry.agent_id == agent_id and entry.time.day == day:
+            first_line = entry.response.strip().splitlines()[0][:200]
+            lines.append(f"- At {entry.time.slot.display}: {first_line}")
+    lines.append(f"- Latest: {latest_response.strip().splitlines()[0][:200]}")
+    return "\n".join(lines)
+
+
+def test_reflection_summary_equals_a_full_scan(
+    monkeypatch, mini_dataset, mini_roles, gated_provider
+):
+    summaries: list[tuple[int, str, str]] = []
+    summarize = Simulation._reflection_summary
+
+    def checked(self, agent_id, day, latest_response):
+        got = summarize(self, agent_id, day, latest_response)
+        expected = _reflection_summary_full_scan(
+            self.entries, agent_id, day, latest_response
+        )
+        summaries.append((day, got, expected))
+        return got
+
+    monkeypatch.setattr(Simulation, "_reflection_summary", checked)
+    Simulation(mini_dataset, mini_roles, gated_provider, config_by_id(1), seed=0).run()
+    assert {day for day, _, _ in summaries} == {1, 2}
+    assert all(got == expected for _, got, expected in summaries)
+    # Each summary lists the agent's earlier entries of that day.
+    assert all(got.count("\n- At ") >= 2 for _, got, _ in summaries)
