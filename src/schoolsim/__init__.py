@@ -19,7 +19,6 @@ from .simulation import (
     ReplayBundle,
     RunParams,
     Simulation,
-    SituationFrame,
     parse_memory_update,
     run_simulation,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "ScriptedProvider",
     "Simulation",
     "SimulationConfig",
-    "SituationFrame",
     "checkpoints",
     "config_by_id",
     "config_matrix",

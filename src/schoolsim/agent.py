@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import EmptyTextError, RoleParseError
-from .llm import ChatMessage, Provider
+from .llm import ChatMessage, GenParams, Provider
 from .prompts import (
     ROLE_GENERATION_STUDENT,
     ROLE_GENERATION_TEACHER,
@@ -197,7 +197,7 @@ class WorkingMemory:
 def assemble_prompt(
     role: RoleSetting,
     wm: WorkingMemory,
-    situation,
+    situation: str,
     retrieved: list | None = None,
 ) -> list[ChatMessage]:
     """Build the per-step message sequence.
@@ -209,21 +209,23 @@ def assemble_prompt(
     retrieval order (short-term entries first). An empty retrieval list omits
     the block entirely.
     """
-    situation_text = getattr(situation, "text", situation)
     messages = [ChatMessage("system", serialize_role(role))]
     for user, assistant in wm.turns:
         messages.append(ChatMessage("user", user))
         messages.append(ChatMessage("assistant", assistant))
-    final = situation_text
+    final = situation
     if retrieved:
         memory_lines = "\n".join(f"- {record.text}" for record, _sim in retrieved)
-        final = f"{situation_text}\n\nRelevant memories:\n{memory_lines}"
+        final = f"{situation}\n\nRelevant memories:\n{memory_lines}"
     messages.append(ChatMessage("user", final))
     return messages
 
 
 def update_role_setting(
-    role: RoleSetting, reflection_summary: str, provider: Provider
+    role: RoleSetting,
+    reflection_summary: str,
+    provider: Provider,
+    params: GenParams | None = None,
 ) -> tuple[RoleSetting, bool]:
     """Ask the provider whether the role setting should evolve.
 
@@ -237,7 +239,7 @@ def update_role_setting(
     prompt = ROLE_UPDATE_TEMPLATE.format(
         role_text=serialize_role(role), summary=reflection_summary
     )
-    response = provider.complete([ChatMessage("user", prompt)])
+    response = provider.complete([ChatMessage("user", prompt)], params)
     if ROLE_UNCHANGED_MARKER in response.lower():
         return role, False
     kept_lines = []

@@ -67,6 +67,7 @@ class QAPair:
     user: str
     reference: str
     time: SimTime
+    location: str | None
     category: ActionCategory | None
 
 
@@ -143,7 +144,7 @@ def _extract_steps(file: str, transcript: AgentTranscript, kind: RoleKind) -> li
         user = messages[i].content
         reference = messages[i + 1].content
         try:
-            time, _loc, _act = parse_situation_header(user)
+            time, location, _act = parse_situation_header(user)
         except ValueError as exc:
             raise SchemaError(file, i, str(exc)) from None
         label, _move = parse_action_footer(reference)
@@ -160,6 +161,7 @@ def _extract_steps(file: str, transcript: AgentTranscript, kind: RoleKind) -> li
                 user=user,
                 reference=reference,
                 time=time,
+                location=location,
                 category=category,
             )
         )
@@ -196,20 +198,6 @@ def load_standard_group(path: str | Path) -> Dataset:
         dataset.steps.extend(_extract_steps(str(file_path), transcript, kind))
     dataset.steps.sort(key=lambda step: (step.time.ordinal, step.agent_id))
     return dataset
-
-
-def save_dataset(dataset: Dataset, path: str | Path) -> None:
-    """Serialize in canonical form (role before content, UTF-8, indented)."""
-    directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    for agent_id, transcript in dataset.transcripts.items():
-        payload = [
-            {"role": m.role, "content": m.content} for m in transcript.messages
-        ]
-        (directory / f"{agent_id}.json").write_text(
-            json.dumps(payload, ensure_ascii=False, indent=2) + "\n",
-            encoding="utf-8",
-        )
 
 
 def take_steps(dataset: Dataset, n: int) -> Dataset:

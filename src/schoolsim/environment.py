@@ -17,7 +17,6 @@ from .errors import (
     RoleMismatchError,
     UnknownActionError,
     UnknownAreaError,
-    UnknownClassError,
 )
 
 SUBJECTS = ("Chinese", "Math", "Physics", "Chemistry", "History")
@@ -80,7 +79,6 @@ _SLOT_BY_LABEL = {
     "extracurricular": Slot.EXTRACURRICULAR,
 }
 SLOTS_PER_DAY = len(_SLOT_ORDER)
-PERIOD_SLOTS = tuple(s for s in _SLOT_ORDER if s.period_number is not None)
 
 
 @dataclass(frozen=True, order=True)
@@ -232,27 +230,6 @@ def load_default_timetables() -> dict[str, Timetable]:
         text = resources.files("schoolsim.data").joinpath(filename).read_text("utf-8")
         tables[class_id] = Timetable.parse(class_id, text)
     return tables
-
-
-def scheduled_slot(
-    timetables: dict[str, Timetable], class_id: str, time: SimTime
-) -> str:
-    """The activity for a class at a clock position.
-
-    Returns a subject name for period slots and the structural activity
-    ("Break" / "Lunch" / "Extracurricular") otherwise.
-    """
-    if class_id not in timetables:
-        raise UnknownClassError(f"unknown class: {class_id!r}")
-    slot = time.slot
-    period = slot.period_number
-    if period is None:
-        if slot is Slot.LUNCH:
-            return "Lunch"
-        if slot is Slot.EXTRACURRICULAR:
-            return "Extracurricular"
-        return "Break"
-    return timetables[class_id].subject_at(time.day_name, period)
 
 
 _HEADER_RE = re.compile(

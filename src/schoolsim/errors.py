@@ -105,10 +105,6 @@ class UnknownAreaError(SchoolSimError):
     """Target area is not part of the school map."""
 
 
-class UnknownClassError(SchoolSimError):
-    """Timetable lookup for a class id that does not exist."""
-
-
 class UnknownActionError(SchoolSimError):
     """Action label is not part of the catalog."""
 

@@ -207,10 +207,6 @@ def evaluate_run(
 # Report rendering
 
 
-def render_report(report: CheckpointReport, format: str = "csv") -> str:
-    return render_matrix_report([report], format=format)
-
-
 def render_matrix_report(
     reports: list[CheckpointReport],
     format: str = "csv",
@@ -248,31 +244,6 @@ def render_matrix_report(
             lines.append(f"*config {config_id} failed: {reason}*")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format: {format!r}")
-
-
-def parse_csv_report(text: str) -> list[CheckpointReport]:
-    """Inverse of the CSV rendering (comment rows are skipped)."""
-    rows = [
-        row
-        for row in csv.reader(io.StringIO(text))
-        if row and not row[0].startswith("#")
-    ]
-    header = rows[0]
-    percents = [int(cell.rstrip("%")) for cell in header[1:]]
-    interval = percents[0]
-    reports = []
-    for row in rows[1:]:
-        values = [float(cell) for cell in row[1:]]
-        reports.append(
-            CheckpointReport(
-                config_id=int(row[0]),
-                interval_percent=interval,
-                percents=percents,
-                mean_f=values,
-                counts=[0] * len(values),
-            )
-        )
-    return reports
 
 
 # Blind human-evaluation sample export

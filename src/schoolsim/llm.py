@@ -11,12 +11,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import threading
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import (
     ProviderHTTPError,
@@ -80,31 +79,23 @@ def last_user_content(messages: Sequence[ChatMessage]) -> str:
 
 
 class ScriptedProvider(Provider):
-    """Pure function of (script, key) where key derives from the final user message.
-
-    The default key is the final user content itself (exact-match map); pass
-    ``key_fn`` to derive something coarser, e.g. the first line only.
-    """
+    """Pure function of (script, final user message): an exact-match map."""
 
     def __init__(
         self,
         script: Mapping[str, str],
         fallback: str | None = None,
-        key_fn: Callable[[Sequence[ChatMessage]], str] | None = None,
         name: str = "scripted",
     ):
         self.script = dict(script)
         self.fallback = fallback
-        self.key_fn = key_fn or last_user_content
         self.name = name
-        self.calls = 0
 
     def complete(
         self, messages: Sequence[ChatMessage], params: GenParams | None = None
     ) -> str:
         validate_messages(messages)
-        self.calls += 1
-        key = self.key_fn(messages)
+        key = last_user_content(messages)
         try:
             return self.script[key]
         except KeyError:
@@ -113,9 +104,9 @@ class ScriptedProvider(Provider):
             raise ScriptMissError(f"no script entry for key {key[:120]!r}") from None
 
     @classmethod
-    def from_file(cls, path: str | Path, **kwargs) -> "ScriptedProvider":
+    def from_file(cls, path: str | Path) -> "ScriptedProvider":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(data.get("script", data), fallback=data.get("fallback"), **kwargs)
+        return cls(data.get("script", data), fallback=data.get("fallback"))
 
 
 class ReplayProvider(Provider):
@@ -161,24 +152,18 @@ class HttpProvider(Provider):
         base_url: str,
         model: str,
         auth_env: str | None = None,
-        auth_header: str = "Authorization",
         timeout: float = 60.0,
         max_retries: int = 3,
         backoff: float = 1.0,
-        max_in_flight: int = 4,
-        debug_log_dir: str | Path | None = None,
         name: str | None = None,
     ):
         self.base_url = base_url
         self.model = model
         self.auth_env = auth_env
-        self.auth_header = auth_header
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.name = name or f"http:{model}"
-        self.debug_log_dir = Path(debug_log_dir) if debug_log_dir else None
-        self._gate = threading.Semaphore(max_in_flight)
 
     def _headers(self) -> dict[str, str]:
         import os
@@ -187,7 +172,7 @@ class HttpProvider(Provider):
         if self.auth_env:
             key = os.environ.get(self.auth_env, "")
             if key:
-                headers[self.auth_header] = f"Bearer {key}"
+                headers["Authorization"] = f"Bearer {key}"
         return headers
 
     @staticmethod
@@ -195,16 +180,6 @@ class HttpProvider(Provider):
         if "text" in payload:
             return payload["text"]
         return payload["choices"][0]["message"]["content"]
-
-    def _debug_dump(self, request_hash: str, body: dict, response: dict | str) -> None:
-        if self.debug_log_dir is None:
-            return
-        self.debug_log_dir.mkdir(parents=True, exist_ok=True)
-        out = self.debug_log_dir / f"{request_hash}.json"
-        out.write_text(
-            json.dumps({"request": body, "response": response}, ensure_ascii=False),
-            encoding="utf-8",
-        )
 
     def complete(
         self, messages: Sequence[ChatMessage], params: GenParams | None = None
@@ -226,50 +201,47 @@ class HttpProvider(Provider):
         request_hash = hashlib.sha256(encoded.encode("utf-8")).hexdigest()[:16]
 
         last_error: Exception | None = None
-        with self._gate:
-            for attempt in range(self.max_retries):
-                started = time.monotonic()
-                try:
-                    resp = requests.post(
-                        self.base_url,
-                        data=encoded.encode("utf-8"),
-                        headers=self._headers(),
-                        timeout=self.timeout,
-                    )
-                except requests.Timeout as exc:
-                    last_error = ProviderTimeout(
-                        f"timeout after {self.timeout}s (attempt {attempt + 1})"
+        for attempt in range(self.max_retries):
+            started = time.monotonic()
+            try:
+                resp = requests.post(
+                    self.base_url,
+                    data=encoded.encode("utf-8"),
+                    headers=self._headers(),
+                    timeout=self.timeout,
+                )
+            except requests.Timeout as exc:
+                last_error = ProviderTimeout(
+                    f"timeout after {self.timeout}s (attempt {attempt + 1})"
+                )
+                logger.warning("%s: %s", self.name, last_error)
+            except requests.RequestException as exc:
+                last_error = ProviderHTTPError(f"transport failure: {exc}")
+                logger.warning("%s: %s", self.name, last_error)
+            else:
+                latency = time.monotonic() - started
+                if resp.status_code >= 500:
+                    last_error = ProviderHTTPError(
+                        f"server error {resp.status_code}", status=resp.status_code
                     )
                     logger.warning("%s: %s", self.name, last_error)
-                except requests.RequestException as exc:
-                    last_error = ProviderHTTPError(f"transport failure: {exc}")
-                    logger.warning("%s: %s", self.name, last_error)
+                elif resp.status_code >= 400:
+                    raise ProviderHTTPError(
+                        f"client error {resp.status_code}: {resp.text[:200]}",
+                        status=resp.status_code,
+                    )
                 else:
-                    latency = time.monotonic() - started
-                    if resp.status_code >= 500:
-                        last_error = ProviderHTTPError(
-                            f"server error {resp.status_code}", status=resp.status_code
-                        )
-                        logger.warning("%s: %s", self.name, last_error)
-                    elif resp.status_code >= 400:
-                        raise ProviderHTTPError(
-                            f"client error {resp.status_code}: {resp.text[:200]}",
-                            status=resp.status_code,
-                        )
-                    else:
-                        payload = resp.json()
-                        usage = payload.get("usage", {})
-                        logger.info(
-                            "%s: request=%s latency=%.3fs tokens=%s",
-                            self.name,
-                            request_hash,
-                            latency,
-                            usage or "n/a",
-                        )
-                        self._debug_dump(request_hash, body, payload)
-                        return self._extract_text(payload)
-                if attempt + 1 < self.max_retries:
-                    time.sleep(self.backoff * (2**attempt))
+                    payload = resp.json()
+                    usage = payload.get("usage", {})
+                    logger.info(
+                        "%s: request=%s latency=%.3fs tokens=%s",
+                        self.name,
+                        request_hash,
+                        latency,
+                        usage or "n/a",
+                    )
+                    return self._extract_text(payload)
+            if attempt + 1 < self.max_retries:
+                time.sleep(self.backoff * (2**attempt))
         assert last_error is not None
-        self._debug_dump(request_hash, body, str(last_error))
         raise last_error

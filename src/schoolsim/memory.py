@@ -108,9 +108,6 @@ class MemoryUpdate:
     def as_dict(self) -> dict[str, list[str]]:
         return {name: list(getattr(self, name)) for name in self.FIELDS}
 
-    def is_empty(self) -> bool:
-        return not any(getattr(self, name) for name in self.FIELDS)
-
 
 # (kind, mark_short, salience) routing per update field.
 _UPDATE_ROUTES = (

@@ -36,14 +36,7 @@ from .agent import (
 from .config import SimulationConfig
 from .dataset import Dataset, parse_action_footer
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedBagEmbedder
-from .environment import (
-    AreaMap,
-    EnvironmentState,
-    SimTime,
-    Slot,
-    classify_action,
-    parse_situation_header,
-)
+from .environment import AreaMap, EnvironmentState, SimTime, Slot, classify_action
 from .errors import (
     MemoryUpdateError,
     MissingFieldError,
@@ -71,21 +64,6 @@ JOURNAL_FILENAME = "journal.jsonl"
 CHECKPOINT_FORMAT = "checkpoint-v3"
 # Commit lines are the only journal lines that start with this.
 _COMMIT_PREFIX = b'{"commit": '
-
-
-@dataclass(frozen=True)
-class SituationFrame:
-    """What an agent perceives at one step."""
-
-    time: SimTime
-    location: str | None
-    scheduled_activity: str | None
-    text: str
-
-    @classmethod
-    def from_user_message(cls, content: str) -> "SituationFrame":
-        time, location, activity = parse_situation_header(content)
-        return cls(time=time, location=location, scheduled_activity=activity, text=content)
 
 
 def parse_memory_update(text: str) -> MemoryUpdate:
@@ -235,9 +213,6 @@ class Simulation:
         config: SimulationConfig,
         seed: int = 0,
         params: RunParams | None = None,
-        update_provider: Provider | None = None,
-        area_map: AreaMap | None = None,
-        role_update_slot: Slot | None = Slot.EXTRACURRICULAR,
     ):
         missing = [a for a in dataset.agent_ids if a not in roles]
         if missing:
@@ -245,12 +220,10 @@ class Simulation:
         self.dataset = dataset
         self.roles = roles
         self.provider = provider
-        self.update_provider = update_provider or provider
         self.config = config
         self.seed = seed
         self.params = params or RunParams()
         self.dataset_digest = dataset.digest()
-        self.role_update_slot = role_update_slot
         self.gen_params = GenParams(
             temperature=self.params.temperature,
             max_tokens=self.params.max_tokens,
@@ -278,16 +251,9 @@ class Simulation:
             agent_id: WorkingMemory(window=self.params.window)
             for agent_id in dataset.agent_ids
         }
-        self.env = EnvironmentState(area_map or AreaMap.default())
+        self.env = EnvironmentState(AreaMap.default())
         self.entries: list[InteractionLogEntry] = []
         self.completed_steps = 0
-        self.counters: dict[str, int] = {
-            "action_calls": 0,
-            "memory_update_calls": 0,
-            "role_update_calls": 0,
-            "memory_update_parse_failures": 0,
-            "rejected_moves": 0,
-        }
         # What the run directory holds so far: bytes of log.jsonl, log entries
         # written, the log's hash, and each store's records in the journal.
         self._log_bytes = 0
@@ -301,7 +267,15 @@ class Simulation:
     # Aggregated instrumentation for the manifest
 
     def aggregate_counters(self) -> dict[str, int]:
-        totals = dict(self.counters)
+        """The run counters, read off the logged steps, plus the stores' own."""
+        entries = self.entries
+        totals = {
+            "action_calls": len(entries),
+            "memory_update_calls": len(entries) if self.config.memory_enabled else 0,
+            "role_update_calls": sum(e.role_updated is not None for e in entries),
+            "memory_update_parse_failures": sum(e.memory_update_failed for e in entries),
+            "rejected_moves": sum(e.rejected_move is not None for e in entries),
+        }
         for store in self.stores.values():
             for key, value in store.counters.items():
                 totals[key] = totals.get(key, 0) + value
@@ -339,32 +313,36 @@ class Simulation:
         exc.args = (f"[agent={agent_id} step={index}] {exc}",)
         return exc
 
-    def step_agent(
-        self, agent_id: str, situation: SituationFrame, step_index: int
-    ) -> InteractionLogEntry:
-        """Run one agent through the full cycle for one situation."""
+    def step_agent(self, step_index: int) -> InteractionLogEntry:
+        """Run the agent of dataset step ``step_index`` through the full cycle.
+
+        It writes only that agent's state: its role, store, working memory
+        and location.
+        """
+        step = self.dataset.steps[step_index]
+        agent_id = step.agent_id
+        situation = step.user
         role = self.roles[agent_id]
         store = self.stores[agent_id]
         wm = self.working_memories[agent_id]
 
-        if self.env.locations.get(agent_id) is None and situation.location:
-            self.env.place(agent_id, situation.location)
+        if self.env.locations.get(agent_id) is None and step.location:
+            self.env.place(agent_id, step.location)
 
         # 1. Retrieve (skipped entirely without a memory base).
         retrieved = []
         if self.config.memory_enabled:
-            retrieved = store.retrieve(situation.text, self.policy)
+            retrieved = store.retrieve(situation, self.policy)
 
         # 2-3. Prompt assembly and the action call.
         prompt = assemble_prompt(role, wm, situation, retrieved)
         try:
-            self.counters["action_calls"] += 1
             response = self.provider.complete(prompt, self.gen_params)
         except ProviderError as exc:
             raise self._with_context(exc, agent_id, step_index)
 
         # 4. Working memory holds the bare situation, matching transcripts.
-        wm.append_turn(situation.text, response)
+        wm.append_turn(situation, response)
 
         # 5. Memory update (skipped without a memory base).
         update_counts: dict[str, int] = {}
@@ -372,11 +350,10 @@ class Simulation:
         update_raw = None
         if self.config.memory_enabled:
             update_prompt = MEMORY_UPDATE_TEMPLATE.format(
-                situation=situation.text, recent=response
+                situation=situation, recent=response
             )
             try:
-                self.counters["memory_update_calls"] += 1
-                update_text = self.update_provider.complete(
+                update_text = self.provider.complete(
                     [ChatMessage("user", update_prompt)], self.gen_params
                 )
             except ProviderError as exc:
@@ -390,11 +367,10 @@ class Simulation:
                     step_index,
                     exc,
                 )
-                self.counters["memory_update_parse_failures"] += 1
                 update = MemoryUpdate()
                 update_failed = True
                 update_raw = update_text
-            update_counts = store.apply_update(update, situation.time)
+            update_counts = store.apply_update(update, step.time)
 
         # 6. Environment deltas from the response footer.
         label, move_target = parse_action_footer(response)
@@ -405,7 +381,6 @@ class Simulation:
                 move = self.env.move_agent(agent_id, move_target)
             except UnknownAreaError:
                 rejected_move = move_target
-                self.counters["rejected_moves"] += 1
         category = None
         if label is not None:
             try:
@@ -413,24 +388,22 @@ class Simulation:
             except Exception:
                 logger.warning("%s: unrecognized action label %r", agent_id, label)
 
-        # 7. Daily reflection at the configured slot.
+        # 7. Daily reflection at the extracurricular slot.
         role_updated = None
-        if (
-            self.role_update_slot is not None
-            and situation.time.slot is self.role_update_slot
-        ):
-            summary = self._reflection_summary(agent_id, situation.time.day, response)
+        if step.time.slot is Slot.EXTRACURRICULAR:
+            summary = self._reflection_summary(agent_id, step.time.day, response)
             try:
-                self.counters["role_update_calls"] += 1
-                _, role_updated = update_role_setting(role, summary, self.provider)
+                _, role_updated = update_role_setting(
+                    role, summary, self.provider, self.gen_params
+                )
             except ProviderError as exc:
                 raise self._with_context(exc, agent_id, step_index)
 
         return InteractionLogEntry(
             step_index=step_index,
             agent_id=agent_id,
-            time=situation.time,
-            situation_text=situation.text,
+            time=step.time,
+            situation_text=situation,
             prompt=prompt,
             response=response,
             action_category=category,
@@ -504,27 +477,27 @@ class Simulation:
         return self.log()
 
     def _run_slot(self, group: list[int], jobs: int) -> None:
-        steps = self.dataset.steps
-        if jobs <= 1 or len(group) == 1:
-            results = [
-                self.step_agent(
-                    steps[i].agent_id, SituationFrame.from_user_message(steps[i].user), i
-                )
-                for i in group
-            ]
+        """Step every agent of one slot; the slot's entries join the log at the end.
+
+        An agent's steps of the slot form one chain that runs in dataset
+        order on one thread; chains of different agents share no state, so
+        they may run in parallel. Steps are sorted by (slot, agent), so the
+        chains joined in order are the slot's steps in dataset order.
+        """
+        chains: dict[str, list[int]] = {}
+        for index in group:
+            chains.setdefault(self.dataset.steps[index].agent_id, []).append(index)
+
+        def run_chain(chain: list[int]) -> list[InteractionLogEntry]:
+            return [self.step_agent(index) for index in chain]
+
+        if jobs <= 1 or len(chains) == 1:
+            results = list(map(run_chain, chains.values()))
         else:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
-                futures = [
-                    pool.submit(
-                        self.step_agent,
-                        steps[i].agent_id,
-                        SituationFrame.from_user_message(steps[i].user),
-                        i,
-                    )
-                    for i in group
-                ]
-                results = [f.result() for f in futures]
-        self.entries.extend(results)
+                results = list(pool.map(run_chain, chains.values()))
+        for entries in results:
+            self.entries.extend(entries)
         self.completed_steps += len(group)
 
     # Outputs, checkpointing, resuming
@@ -536,7 +509,8 @@ class Simulation:
             "status": status,
             "config": self.config.as_dict(),
             "provider": self.provider.name,
-            "update_provider": self.update_provider.name,
+            # One provider answers every call; the key keeps manifests stable.
+            "update_provider": self.provider.name,
             "seed": self.seed,
             "params": self.params.as_dict(),
             "dataset_digest": self.dataset_digest,
@@ -604,7 +578,6 @@ class Simulation:
                 agent_id: serialize_role(role) for agent_id, role in self.roles.items()
             },
             "locations": self.env.locations,
-            "counters": self.counters,
         }
         self._journal.write(_json_line({"commit": state}))
         self._journal.flush()
@@ -689,7 +662,6 @@ class Simulation:
             self._journaled[agent_id] = store.long_term_size()
         for agent_id, text in state["roles"].items():
             self.roles[agent_id] = parse_role_text(text)
-        self.counters = state["counters"]
         self.env.locations = state["locations"]
         # Working memory is the window of each agent's latest logged turns.
         for wm in self.working_memories.values():
@@ -776,18 +748,9 @@ def run_simulation(
     out_dir: str | Path | None = None,
     jobs: int = 1,
     resume: bool = False,
-    update_provider: Provider | None = None,
 ) -> InteractionLog:
     """Run every dataset step under one configuration; returns the log."""
-    sim = Simulation(
-        dataset,
-        roles,
-        provider,
-        config,
-        seed=seed,
-        params=params,
-        update_provider=update_provider,
-    )
+    sim = Simulation(dataset, roles, provider, config, seed=seed, params=params)
     if resume:
         if not out_dir:
             raise ValueError("resume requires an output directory")

@@ -8,7 +8,6 @@ from schoolsim.agent import RoleKind
 from schoolsim.dataset import (
     load_standard_group,
     parse_action_footer,
-    save_dataset,
     summarize,
     take_steps,
 )
@@ -44,6 +43,7 @@ def test_wellformed_transcript_yields_two_pairs(tmp_path):
     assert dataset.qa_count == 2
     assert dataset.kinds["s01"] is RoleKind.STUDENT
     assert dataset.steps[0].reference.startswith("answer one")
+    assert dataset.steps[0].location == "Class 1 Classroom"
 
 
 def test_transcript_must_start_with_system(tmp_path):
@@ -139,35 +139,6 @@ def test_empty_dataset_summary(tmp_path):
     stats = summarize(dataset)
     assert stats.qa_count == 0
     assert sum(stats.agent_counts.values()) == 0
-
-
-def test_roundtrip_structural_equality(tmp_path, mini_dataset):
-    out = tmp_path / "roundtrip"
-    save_dataset(mini_dataset, out)
-    reloaded = load_standard_group(out)
-    assert reloaded.digest() == mini_dataset.digest()
-    assert reloaded.qa_count == mini_dataset.qa_count
-
-
-def test_roundtrip_preserves_cjk(tmp_path):
-    messages = valid_messages()
-    messages[2]["content"] = "今天我们复习了分数。\nACTION: Classroom Learning"
-    write_transcript(tmp_path / "s01.json", messages)
-    dataset = load_standard_group(tmp_path)
-    out = tmp_path / "saved"
-    save_dataset(dataset, out)
-    raw = (out / "s01.json").read_text(encoding="utf-8")
-    assert "今天我们复习了分数。" in raw
-    assert load_standard_group(out).digest() == dataset.digest()
-
-
-def test_saved_field_order_role_before_content(tmp_path, mini_dataset):
-    out = tmp_path / "order"
-    save_dataset(mini_dataset, out)
-    raw = (out / "s01.json").read_text(encoding="utf-8")
-    first_obj = raw.index('"role"')
-    first_content = raw.index('"content"')
-    assert first_obj < first_content
 
 
 def test_take_steps_consistency(full_dataset):

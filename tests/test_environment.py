@@ -14,13 +14,11 @@ from schoolsim.environment import (
     load_default_timetables,
     load_reference_action_stats,
     parse_situation_header,
-    scheduled_slot,
 )
 from schoolsim.errors import (
     RoleMismatchError,
     UnknownActionError,
     UnknownAreaError,
-    UnknownClassError,
 )
 
 
@@ -30,8 +28,8 @@ def timetables():
 
 
 def test_timetable_known_cells(timetables):
-    assert scheduled_slot(timetables, "Class 1", SimTime.at(1, Slot.PERIOD1)) == "Chinese"
-    assert scheduled_slot(timetables, "Class 2", SimTime.at(5, Slot.PERIOD5)) == "History"
+    assert timetables["Class 1"].subject_at("Monday", 1) == "Chinese"
+    assert timetables["Class 2"].subject_at("Friday", 5) == "History"
 
 
 def _slot_by_scan(label: str) -> Slot | None:
@@ -64,20 +62,6 @@ def test_slot_from_label_matches_a_scan_of_every_slot():
         assert _slot_by_scan(bad) is None
         with pytest.raises(ValueError, match="unknown slot label"):
             Slot.from_label(bad)
-
-
-def test_structural_slots(timetables):
-    assert scheduled_slot(timetables, "Class 1", SimTime.at(3, Slot.LUNCH)) == "Lunch"
-    assert scheduled_slot(timetables, "Class 2", SimTime.at(2, Slot.BREAK1)) == "Break"
-    assert (
-        scheduled_slot(timetables, "Class 1", SimTime.at(4, Slot.EXTRACURRICULAR))
-        == "Extracurricular"
-    )
-
-
-def test_unknown_class(timetables):
-    with pytest.raises(UnknownClassError):
-        scheduled_slot(timetables, "Class 3", SimTime.at(1, Slot.PERIOD1))
 
 
 def test_each_subject_exactly_five_times_per_class(timetables):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 import sys
@@ -18,10 +20,8 @@ from schoolsim.evaluation import (
     evaluate_run,
     export_human_eval_sample,
     lcs_length,
-    parse_csv_report,
     recover_tallies,
     render_matrix_report,
-    render_report,
     rouge_l,
     save_human_eval,
     score_responses,
@@ -245,18 +245,24 @@ def test_length_mismatch_rejected(mini_dataset):
         score_responses(["a"], mini_dataset.reference_answers(), config_id=1)
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(text)))
+
+
 def test_render_csv_roundtrip():
     report = score_responses(["a b c", "a x c"], ["a b c", "a b c"], config_id=3)
-    text = render_report(report, format="csv")
-    parsed = parse_csv_report(text)
-    assert len(parsed) == 1
-    assert parsed[0].config_id == 3
-    assert parsed[0].mean_f == report.mean_f
+    header, *rows = _csv_rows(render_matrix_report([report], format="csv"))
+    assert header == ["config_id"] + [f"{p}%" for p in report.percents]
+    assert len(rows) == 1
+    assert rows[0][0] == "3"
+    # Exact float round-trip: every cell parses back to the same bits.
+    assert [float(cell) for cell in rows[0][1:]] == report.mean_f
+    assert any(0 < value < 1 for value in report.mean_f)
 
 
 def test_render_markdown_column_count():
     report = score_responses(["a"], ["a"], config_id=1)
-    lines = render_report(report, format="markdown").splitlines()
+    lines = render_matrix_report([report], format="markdown").splitlines()
     assert lines[0].count("|") == 22  # 21 columns -> 22 pipes
     assert len(lines) == 3
 
@@ -265,13 +271,14 @@ def test_render_matrix_report_includes_failure_notes():
     report = score_responses(["a"], ["a"], config_id=1)
     text = render_matrix_report([report], format="csv", failures={5: "boom"})
     assert "# config 5 failed: boom" in text
-    assert parse_csv_report(text)[0].config_id == 1
+    rows = [row for row in _csv_rows(text) if not row[0].startswith("#")]
+    assert [row[0] for row in rows[1:]] == ["1"]
 
 
 def test_render_unknown_format():
     report = score_responses(["a"], ["a"], config_id=1)
     with pytest.raises(ValueError):
-        render_report(report, format="xml")
+        render_matrix_report([report], format="xml")
 
 
 def _groups_for(dataset, answers_value="fixed answer"):

@@ -149,13 +149,3 @@ def test_http_provider_4xx_is_terminal(flaky_server):
         provider.complete(user("ping"))
     assert excinfo.value.status == 403
     assert len(_FlakyHandler.requests_seen) == 1
-
-
-def test_http_provider_debug_logging(flaky_server, tmp_path):
-    provider = HttpProvider(flaky_server, model="m", backoff=0.01, debug_log_dir=tmp_path)
-    provider.complete(user("ping"))
-    dumps = list(tmp_path.glob("*.json"))
-    assert len(dumps) == 1
-    recorded = json.loads(dumps[0].read_text())
-    assert recorded["request"]["messages"][0]["content"] == "ping"
-    assert "echo:ping" in json.dumps(recorded["response"])

@@ -3,13 +3,15 @@ from __future__ import annotations
 import builtins
 import json
 import shutil
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import load_roles_dir
 from schoolsim.config import config_by_id, config_matrix
-from schoolsim.dataset import take_steps
+from schoolsim.dataset import load_standard_group, take_steps
+from schoolsim.environment import format_situation_header, parse_situation_header
 from schoolsim.errors import (
     MissingFieldError,
     NoJsonFoundError,
@@ -18,14 +20,13 @@ from schoolsim.errors import (
     WrongTypeError,
 )
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
-from schoolsim.llm import ChatMessage, Provider, ScriptedProvider
+from schoolsim.llm import ChatMessage, GenParams, Provider, ScriptedProvider
 from schoolsim.memory import MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
     ReplayBundle,
     RunParams,
     Simulation,
-    SituationFrame,
     load_log,
     parse_memory_update,
     run_simulation,
@@ -53,16 +54,6 @@ def test_memory_update_parse_contract(case):
     else:
         with pytest.raises(NoJsonFoundError):
             parse_memory_update(case["text"])
-
-
-def test_situation_frame_from_user_message():
-    frame = SituationFrame.from_user_message(
-        "Day 2, Period 2 (9:00-9:40) | Location: Library | Activity: Math\nbody text"
-    )
-    assert frame.time.day == 2
-    assert frame.location == "Library"
-    assert frame.scheduled_activity == "Math"
-    assert frame.text.endswith("body text")
 
 
 def _run(dataset, fixture, config_id, provider=None, **kwargs):
@@ -147,7 +138,7 @@ def test_moves_are_applied_and_rejected_moves_logged(mini_dataset, mini_fixture)
 
     sim2 = Simulation(mini_dataset, load_roles_dir(mini_fixture.roles_dir), BadMoveProvider(), config_by_id(1))
     log2 = sim2.run()
-    assert sim2.counters["rejected_moves"] > 0
+    assert sim2.aggregate_counters()["rejected_moves"] > 0
     rejected = [e for e in log2.entries if e.rejected_move == "Narnia"]
     assert rejected and all(e.move is None for e in rejected)
 
@@ -159,10 +150,29 @@ def test_role_update_triggered_once_per_day_at_extracurricular(mini_dataset, min
     log = sim.run()
     days = {e.time.day for e in log.entries}
     agents = set(mini_dataset.agent_ids)
-    assert sim.counters["role_update_calls"] == len(days) * len(agents)
+    assert sim.aggregate_counters()["role_update_calls"] == len(days) * len(agents)
     flagged = [e for e in log.entries if e.role_updated is not None]
     assert all(e.time.slot.name == "EXTRACURRICULAR" for e in flagged)
     assert len(flagged) == len(days) * len(agents)
+
+
+def test_every_provider_call_carries_the_run_gen_params(
+    mini_dataset, mini_roles, gated_provider
+):
+    calls = []
+
+    class Recording(Provider):
+        name = gated_provider.name
+
+        def complete(self, messages, params=None):
+            calls.append((messages[-1].content.split("\n", 1)[0], params))
+            return gated_provider.complete(messages, params)
+
+    params = RunParams(temperature=0.3, max_tokens=64)
+    Simulation(mini_dataset, mini_roles, Recording(), config_by_id(1), seed=7, params=params).run()
+    expected = GenParams(temperature=0.3, max_tokens=64, seed=7)
+    assert ROLE_UPDATE_HEADER.split("\n", 1)[0] in {first for first, _ in calls}
+    assert all(got == expected for _, got in calls)
 
 
 def test_provider_errors_carry_agent_and_step_context(mini_dataset, mini_fixture):
@@ -509,6 +519,115 @@ def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixtu
         _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, jobs=jobs)
     assert _run_dir_files(runs[0]) == _run_dir_files(runs[1])
     assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
+
+
+def _pair_turns_into_slots(agents_dir: Path, out: Path):
+    """The transcripts of ``agents_dir`` with turns 2k and 2k+1 of each agent
+    both at the time of turn 2k: two steps per agent in one slot."""
+    out.mkdir()
+    for path in sorted(agents_dir.glob("*.json")):
+        messages = json.loads(path.read_text("utf-8"))
+        for turn, i in enumerate(range(1, len(messages), 2)):
+            first, _sep, body = messages[i]["content"].partition("\n")
+            _time, location, activity = parse_situation_header(first)
+            shared = parse_situation_header(messages[i - 2 * (turn % 2)]["content"])[0]
+            header = format_situation_header(shared, location, activity)
+            messages[i]["content"] = f"{header}\n{body}"
+        (out / path.name).write_text(json.dumps(messages, ensure_ascii=False), "utf-8")
+    return load_standard_group(out)
+
+
+def test_two_steps_per_agent_in_a_slot_do_not_depend_on_jobs(tmp_path, mini_fixture):
+    dataset = _pair_turns_into_slots(mini_fixture.agents_dir, tmp_path / "paired")
+    steps = dataset.steps
+    assert any(a.agent_id == b.agent_id and a.time == b.time for a, b in zip(steps, steps[1:]))
+    runs = [tmp_path / "jobs-1", tmp_path / "jobs-8"]
+    interval = sys.getswitchinterval()
+    # Switch threads as often as possible, so steps that race interleave.
+    sys.setswitchinterval(1e-6)
+    try:
+        for out, jobs in zip(runs, (1, 8)):
+            provider = ReplayBundle.from_dataset(dataset)
+            _run(dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out, jobs=jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert _run_dir_files(runs[0]) == _run_dir_files(runs[1])
+    assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
+
+
+def _run_counters(entries: list[dict]) -> dict:
+    """The five run counters of a config-1 run's logged entries (raw dicts)."""
+    return {
+        "action_calls": len(entries),
+        "memory_update_calls": len(entries),
+        "role_update_calls": sum(e["role_updated"] is not None for e in entries),
+        "memory_update_parse_failures": sum(e["memory_update_failed"] for e in entries),
+        "rejected_moves": sum(e["rejected_move"] is not None for e in entries),
+    }
+
+
+def test_aborted_manifest_counts_the_logged_steps(tmp_path, mini_dataset, mini_fixture):
+    out = tmp_path / "aborted"
+    committed = _final_slot_start(mini_dataset)
+    # Two steps of the final slot succeed, the third action call fails.
+    provider = _AbortAtAction(
+        MemoryGatedProvider.from_file(mini_fixture.script_path), committed + 2
+    )
+    with pytest.raises(ProviderError):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    _meta, entries = load_log(out / "log.jsonl")
+    assert manifest["status"] == "aborted"
+    assert len(entries) == manifest["completed_steps"] == committed
+    counters = _run_counters(entries)
+    assert counters["role_update_calls"] > 0
+    assert {name: manifest["counters"][name] for name in counters} == counters
+
+
+def _edit_commits(journal: bytes, edit) -> bytes:
+    """``journal`` with ``edit`` applied to the state of each commit line."""
+    lines = []
+    for line in journal.split(b"\n")[:-1]:
+        if line.startswith(b'{"commit": '):
+            row = json.loads(line)
+            edit(row["commit"])
+            line = json.dumps(row, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        lines.append(line + b"\n")
+    return b"".join(lines)
+
+
+def test_resume_reads_commit_lines_that_carry_run_counters(
+    tmp_path, mini_dataset, mini_fixture, reference_run
+):
+    out = tmp_path / "resumed"
+    provider = _AbortAtAction(
+        MemoryGatedProvider.from_file(mini_fixture.script_path),
+        _final_slot_start(mini_dataset),
+    )
+    with pytest.raises(ProviderError):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    # Rewrite the journal as earlier versions wrote it: each commit line also
+    # held the run counters of the steps committed so far.
+    _meta, entries = load_log(out / "log.jsonl")
+    journal = out / "checkpoint" / "journal.jsonl"
+    journal.write_bytes(
+        _edit_commits(
+            journal.read_bytes(),
+            lambda state: state.update(
+                counters=_run_counters(entries[: state["completed_steps"]])
+            ),
+        )
+    )
+
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
+    files, expected = _run_dir_files(out), _run_dir_files(reference_run)
+    name = "checkpoint/journal.jsonl"
+    resumed_journal, expected_journal = files.pop(name), expected.pop(name)
+    assert files == expected
+    assert resumed_journal != expected_journal
+    without = _edit_commits(resumed_journal, lambda state: state.pop("counters", None))
+    assert without == expected_journal
+    assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
 
 
 def test_line_separators_in_text_survive_log_and_resume(tmp_path, mini_dataset, mini_fixture):
