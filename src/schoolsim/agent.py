@@ -226,13 +226,14 @@ def update_role_setting(
     reflection_summary: str,
     provider: Provider,
     params: GenParams | None = None,
-) -> tuple[RoleSetting, bool]:
-    """Ask the provider whether the role setting should evolve.
+) -> bool:
+    """Ask the provider whether the role setting should evolve; returns
+    whether ``role`` changed.
 
     A response containing the unchanged-marker phrase (case-insensitive)
     leaves the role untouched. Any other response is appended to the role's
-    evolved traits; lines that try to rewrite identity fields (name, gender,
-    age) are stripped and logged as rejected.
+    evolved traits in place; lines that try to rewrite identity fields
+    (name, gender, age) are stripped and logged as rejected.
     """
     if not reflection_summary.strip():
         raise EmptyTextError("reflection summary must be non-empty")
@@ -241,7 +242,7 @@ def update_role_setting(
     )
     response = provider.complete([ChatMessage("user", prompt)], params)
     if ROLE_UNCHANGED_MARKER in response.lower():
-        return role, False
+        return False
     kept_lines = []
     for line in response.strip().splitlines():
         stripped = line.strip().lstrip("-* ").strip()
@@ -256,9 +257,9 @@ def update_role_setting(
         if stripped:
             kept_lines.append(stripped)
     if not kept_lines:
-        return role, False
+        return False
     role.mutable_aspects.append(" ".join(kept_lines))
-    return role, True
+    return True
 
 
 def _parse_profile_response(kind: RoleKind, response: str) -> dict[str, str]:

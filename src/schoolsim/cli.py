@@ -95,7 +95,7 @@ def _provider_factory(name: str, dataset: Dataset, root: Path, providers_file: s
     section = parser[name]
     kind = section.get("type", "http")
     if kind == "scripted":
-        return lambda: ScriptedProvider.from_file(section["script"])
+        return lambda: ScriptedProvider.from_file(section["script"], name=name)
     if kind != "http":
         raise click.ClickException(f"unknown provider type {kind!r} for {name!r}")
 

@@ -20,11 +20,15 @@ import re
 import unicodedata
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import _kernels
 from .config import SimulationConfig, config_matrix  # noqa: F401  (re-exported)
 from .dataset import Dataset
 from .errors import LengthMismatchError
+
+if TYPE_CHECKING:
+    from .simulation import InteractionLog
 
 DEFAULT_BETA = 1.0
 
@@ -182,23 +186,16 @@ def score_responses(
 
 
 def evaluate_run(
-    log,
+    log: InteractionLog,
     dataset: Dataset,
     beta: float = DEFAULT_BETA,
     interval_percent: int = 5,
 ) -> CheckpointReport:
-    """Score a run's responses against the dataset's reference answers.
-
-    ``log`` may be an InteractionLog or a plain list of response strings.
-    """
-    responses = log.responses() if hasattr(log, "responses") else list(log)
-    config_id = 0
-    if hasattr(log, "meta"):
-        config_id = log.meta.get("config", {}).get("id", 0)
+    """Score a run's responses against the dataset's reference answers."""
     return score_responses(
-        responses,
+        log.responses(),
         dataset.reference_answers(),
-        config_id=config_id,
+        config_id=log.meta["config"]["id"],
         beta=beta,
         interval_percent=interval_percent,
     )

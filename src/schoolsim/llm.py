@@ -104,9 +104,9 @@ class ScriptedProvider(Provider):
             raise ScriptMissError(f"no script entry for key {key[:120]!r}") from None
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "ScriptedProvider":
+    def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedProvider":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
-        return cls(data.get("script", data), fallback=data.get("fallback"))
+        return cls(data.get("script", data), fallback=data.get("fallback"), name=name)
 
 
 class ReplayProvider(Provider):

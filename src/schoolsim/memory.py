@@ -76,6 +76,7 @@ class MemoryRecord:
     embedding: np.ndarray
     created_at: SimTime
     salience: float
+    mark_short: bool
 
 
 @dataclass(frozen=True)
@@ -110,23 +111,12 @@ class MemoryUpdate:
 
 
 # (kind, mark_short, salience) routing per update field.
-_UPDATE_ROUTES = (
+UPDATE_ROUTES = (
     ("long_term_experience_updates", MemoryKind.EXPERIENCE, False, LONG_TERM_SALIENCE),
     ("long_term_knowledge_updates", MemoryKind.KNOWLEDGE, False, LONG_TERM_SALIENCE),
     ("short_term_experience_content", MemoryKind.EXPERIENCE, True, SHORT_TERM_SALIENCE),
     ("short_term_knowledge_content", MemoryKind.KNOWLEDGE, True, SHORT_TERM_SALIENCE),
 )
-
-
-def _new_counters() -> dict[str, int]:
-    return {
-        "retrieve_calls": 0,
-        "short_term_queries": 0,
-        "insert_experience": 0,
-        "insert_knowledge": 0,
-        "skipped_disabled": 0,
-        "skipped_empty": 0,
-    }
 
 
 class MemoryStore:
@@ -155,7 +145,6 @@ class MemoryStore:
         self._short_term: list[int] = []
         self._next_id = 0
         self._now = SimTime(1, 0)
-        self.counters = _new_counters()
 
     # Read-only views
 
@@ -216,12 +205,12 @@ class MemoryStore:
             embedding=row,
             created_at=timestamp,
             salience=salience,
+            mark_short=mark_short,
         )
         self._records.append(record)
         self._next_id += 1
         if timestamp.ordinal > self._now.ordinal:
             self._now = timestamp
-        self.counters[f"insert_{kind.value}"] += 1
         if mark_short:
             self._short_term.append(record.id)
             self.evict_short_term()
@@ -260,18 +249,16 @@ class MemoryStore:
         are skipped, not errors: ablation configs must not abort a run.
         Returns per-route insert counts plus skip counts.
         """
-        counts = {name: 0 for name, _, _, _ in _UPDATE_ROUTES}
+        counts = {name: 0 for name, _, _, _ in UPDATE_ROUTES}
         counts["skipped_disabled"] = 0
         counts["skipped_empty"] = 0
-        for field_name, kind, mark_short, salience in _UPDATE_ROUTES:
+        for field_name, kind, mark_short, salience in UPDATE_ROUTES:
             for text in getattr(update, field_name):
                 if not self.config.memory_enabled or not self.config.kind_enabled(kind):
                     counts["skipped_disabled"] += 1
-                    self.counters["skipped_disabled"] += 1
                     continue
                 if not text or not text.strip():
                     counts["skipped_empty"] += 1
-                    self.counters["skipped_empty"] += 1
                     logger.debug("%s: skipped empty update string", self.agent_id)
                     continue
                 self.insert(
@@ -311,7 +298,6 @@ class MemoryStore:
         if not self.config.memory_enabled:
             raise MemoryDisabledError(f"{self.agent_id}: memory base is disabled")
         policy = policy or RetrievalPolicy()
-        self.counters["retrieve_calls"] += 1
         n = len(self._records)
         if not n:
             return []
@@ -331,7 +317,6 @@ class MemoryStore:
         if not self.config.stlt_enabled:
             chosen = self._long_term_segment(ranked, policy.k_short + policy.k_long)
         else:
-            self.counters["short_term_queries"] += 1
             short_term = np.zeros(n, dtype=bool)
             short_term[self._short_term] = True
             in_short = short_term[ranked]
@@ -348,17 +333,12 @@ class MemoryStore:
         ]
 
     # Persistence. ``save`` writes one JSON line per record, key order agent,
-    # id, kind, day, slot, salience, text. Vectors are not written: an
-    # embedding is a pure function of the text and the embedder, so ``load``
-    # embeds each text again. The fields that change (short-term ids, ``now``
-    # and the counters) are returned by ``state()`` for the caller to keep.
-
-    def state(self) -> dict:
-        return {
-            "short_term": list(self._short_term),
-            "now": self._now.as_dict(),
-            "counters": dict(self.counters),
-        }
+    # id, kind, day, slot, salience, short, text; ``short`` is the insert's
+    # ``mark_short``. Nothing else is written. Vectors are not: an embedding
+    # is a pure function of the text and the embedder, so ``load`` embeds each
+    # text again. Short-term ids and ``now`` are not either: they are a pure
+    # function of the inserts in order, so ``load`` inserts every row again,
+    # eviction included.
 
     def save(self, handle: BinaryIO, start: int = 0) -> int:
         """Write the records from id ``start`` on to the open binary
@@ -372,6 +352,7 @@ class MemoryStore:
                     "day": record.created_at.day,
                     "slot": record.created_at.slot.label,
                     "salience": record.salience,
+                    "short": record.mark_short,
                     "text": record.text,
                 },
                 ensure_ascii=False,
@@ -389,29 +370,23 @@ class MemoryStore:
         config: SimulationConfig,
         embedder: Embedder,
         rows: Iterable[dict],
-        state: dict | None = None,
         capacity: int = DEFAULT_SHORT_TERM_CAPACITY,
         decay: float = DEFAULT_SALIENCE_DECAY,
     ) -> "MemoryStore":
         """A store rebuilt from the record ``rows`` written by :meth:`save`,
-        in id order, with ``state`` (as returned by :meth:`state`) applied
-        when given. Each row goes through :meth:`insert`, so embeddings and
-        norms are those of the store that saved them."""
+        in id order. Each row goes through :meth:`insert` with its
+        ``mark_short``, which replays eviction, so embeddings, norms,
+        short-term ids and ``now`` are those of the store that saved them."""
         store = cls(agent_id, config, embedder, capacity=capacity, decay=decay)
         for row in rows:
             created_at = SimTime.at(row["day"], Slot.from_label(row["slot"]))
             record_id = store.insert(
-                MemoryKind(row["kind"]), row["text"], created_at, salience=row["salience"]
+                MemoryKind(row["kind"]),
+                row["text"],
+                created_at,
+                salience=row["salience"],
+                mark_short=row["short"],
             )
             if record_id != row["id"]:
                 raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
-        if state is not None:
-            store._short_term = list(state["short_term"])
-            store._now = SimTime.at(
-                state["now"]["day"], Slot.from_label(state["now"]["slot"])
-            )
-            store.counters = dict(state["counters"])
-        missing = [rid for rid in store._short_term if rid >= len(store._records)]
-        if missing:
-            raise ValueError(f"short-term ids without records: {missing}")
         return store

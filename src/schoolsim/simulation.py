@@ -49,6 +49,7 @@ from .llm import ChatMessage, GenParams, Provider, ReplayProvider
 from .memory import (
     DEFAULT_SALIENCE_DECAY,
     DEFAULT_SHORT_TERM_CAPACITY,
+    UPDATE_ROUTES,
     MemoryStore,
     MemoryUpdate,
     RetrievalPolicy,
@@ -61,7 +62,7 @@ LOG_FILENAME = "log.jsonl"
 MANIFEST_FILENAME = "manifest.json"
 CHECKPOINT_DIRNAME = "checkpoint"
 JOURNAL_FILENAME = "journal.jsonl"
-CHECKPOINT_FORMAT = "checkpoint-v3"
+CHECKPOINT_FORMAT = "checkpoint-v4"
 # Commit lines are the only journal lines that start with this.
 _COMMIT_PREFIX = b'{"commit": '
 
@@ -267,18 +268,34 @@ class Simulation:
     # Aggregated instrumentation for the manifest
 
     def aggregate_counters(self) -> dict[str, int]:
-        """The run counters, read off the logged steps, plus the stores' own."""
+        """The manifest counters, all read off the logged steps."""
         entries = self.entries
+        memory_steps = len(entries) if self.config.memory_enabled else 0
         totals = {
             "action_calls": len(entries),
-            "memory_update_calls": len(entries) if self.config.memory_enabled else 0,
+            "memory_update_calls": memory_steps,
+            # A step with a memory base retrieves once, before its update.
+            "retrieve_calls": memory_steps,
             "role_update_calls": sum(e.role_updated is not None for e in entries),
             "memory_update_parse_failures": sum(e.memory_update_failed for e in entries),
             "rejected_moves": sum(e.rejected_move is not None for e in entries),
+            "short_term_queries": 0,
+            "insert_experience": 0,
+            "insert_knowledge": 0,
+            "skipped_disabled": 0,
+            "skipped_empty": 0,
         }
-        for store in self.stores.values():
-            for key, value in store.counters.items():
-                totals[key] = totals.get(key, 0) + value
+        insert_key = {route: f"insert_{kind.value}" for route, kind, _, _ in UPDATE_ROUTES}
+        # retrieve() returns early from an empty store, so an agent queries
+        # the short-term tier only once an earlier step inserted a record.
+        stocked: set[str] = set()
+        for entry in entries:
+            if self.config.stlt_enabled and entry.agent_id in stocked:
+                totals["short_term_queries"] += 1
+            for key, count in entry.memory_update_counts.items():
+                totals[insert_key.get(key, key)] += count
+                if count and key in insert_key:
+                    stocked.add(entry.agent_id)
         return totals
 
     def run_id(self) -> str:
@@ -393,7 +410,7 @@ class Simulation:
         if step.time.slot is Slot.EXTRACURRICULAR:
             summary = self._reflection_summary(agent_id, step.time.day, response)
             try:
-                _, role_updated = update_role_setting(
+                role_updated = update_role_setting(
                     role, summary, self.provider, self.gen_params
                 )
             except ProviderError as exc:
@@ -558,7 +575,8 @@ class Simulation:
 
         log.jsonl gets the slot's entries and is flushed; the journal gets
         one line per new memory record and then the commit line, which holds
-        the log's length and everything else a resume needs, and is flushed.
+        the step count, the log's length, the roles and the locations, and is
+        flushed.
         Both files only grow. A resume takes the last complete commit line,
         so a save that stops before its commit leaves the previous
         checkpoint intact.
@@ -573,7 +591,6 @@ class Simulation:
         state = {
             "completed_steps": self.completed_steps,
             "log_bytes": self._log_bytes,
-            "stores": {agent_id: store.state() for agent_id, store in self.stores.items()},
             "roles": {
                 agent_id: serialize_role(role) for agent_id, role in self.roles.items()
             },
@@ -601,7 +618,11 @@ class Simulation:
             raise ValueError(f"no committed slot to resume in {journal_path}")
         header = json.loads(lines[0])
         if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(f"{journal_path} is not a {CHECKPOINT_FORMAT} journal")
+            raise ValueError(
+                f"{journal_path} is a {header.get('format')} journal, not "
+                f"{CHECKPOINT_FORMAT}, and cannot be resumed; start the run again "
+                "without resume"
+            )
         for name, value in self._identity().items():
             if header[name] != value:
                 raise ValueError(
@@ -642,11 +663,10 @@ class Simulation:
                 self.config,
                 self.embedder,
                 rows[agent_id],
-                state=saved,
                 capacity=self.params.short_term_capacity,
                 decay=self.params.salience_decay,
             )
-            for agent_id, saved in state["stores"].items()
+            for agent_id in self.stores
         }
         # Everything read: drop the bytes written after the commit.
         os.truncate(log_path, state["log_bytes"])

@@ -123,15 +123,15 @@ def test_role_text_field_names_are_exact():
 def test_update_role_unchanged_marker_case_insensitive():
     role = make_teacher()
     provider = ScriptedProvider({}, fallback="The role setting REMAINS LARGELY UNCHANGED.")
-    updated, changed = update_role_setting(role, "steady day", provider)
+    changed = update_role_setting(role, "steady day", provider)
     assert changed is False
-    assert updated.mutable_aspects == []
+    assert role.mutable_aspects == []
 
 
 def test_update_role_appends_aspect():
     role = make_teacher()
     provider = ScriptedProvider({}, fallback="Became more patient with slower groups.")
-    _, changed = update_role_setting(role, "reflection", provider)
+    changed = update_role_setting(role, "reflection", provider)
     assert changed is True
     assert role.mutable_aspects == ["Became more patient with slower groups."]
 
@@ -141,7 +141,7 @@ def test_update_role_rejects_identity_changes():
     provider = ScriptedProvider(
         {}, fallback="Full Name: Someone Else\nMore open to group work."
     )
-    _, changed = update_role_setting(role, "reflection", provider)
+    changed = update_role_setting(role, "reflection", provider)
     assert changed is True
     assert role.attributes["Full Name"] == "Wang Lihua"
     assert role.mutable_aspects == ["More open to group work."]

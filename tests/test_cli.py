@@ -460,3 +460,35 @@ def test_run_resume_with_a_different_seed_is_an_error(runner, cli_fixture_dir, t
     result = runner.invoke(main, args + ["--seed", "5", "--resume"])
     assert result.exit_code == 1, result.output
     assert "cannot resume" in result.output and "different seed" in result.output
+
+
+def test_run_resume_with_another_scripted_section_is_an_error(
+    runner, cli_fixture_dir, tmp_path
+):
+    # A scripted section is named after its section, as an HTTP one is, so
+    # two sections with different scripts are different providers.
+    providers = tmp_path / "providers.ini"
+    sections = []
+    for name in ("alpha", "beta"):
+        script = tmp_path / f"{name}.json"
+        script.write_text(json.dumps({"script": {}, "fallback": f"{name} answers."}))
+        sections.append(f"[{name}]\ntype = scripted\nscript = {script}\n")
+    providers.write_text("\n".join(sections))
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--providers-file",
+        str(providers),
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args + ["--provider", "alpha"])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "manifest.json").read_text())["provider"] == "alpha"
+    result = runner.invoke(main, args + ["--provider", "beta", "--resume"])
+    assert result.exit_code == 1, result.output
+    assert "cannot resume" in result.output and "different provider" in result.output

@@ -149,7 +149,6 @@ def test_unified_mode_ranks_kinds_jointly():
     results = store.retrieve("fractions", RetrievalPolicy(k_short=1, k_long=1))
     kinds = {record.kind for record, _ in results}
     assert kinds == {MemoryKind.EXPERIENCE, MemoryKind.KNOWLEDGE}
-    assert store.counters["short_term_queries"] == 0
 
 
 def test_disabled_kind_never_returned():
@@ -228,19 +227,20 @@ def test_snapshot_roundtrip(embedder):
     assert store.save(handle, start=3) == 0
     rows = _rows(handle.getvalue())
     assert [list(row) for row in rows] == [
-        ["agent", "id", "kind", "day", "slot", "salience", "text"]
+        ["agent", "id", "kind", "day", "slot", "salience", "short", "text"]
     ] * 3
-    loaded = MemoryStore.load("a01", store.config, embedder, rows, state=store.state())
-    assert loaded.short_term_ids == store.short_term_ids
-    assert loaded.state() == store.state()
+    assert [row["short"] for row in rows] == [False, True, False]
+    loaded = MemoryStore.load("a01", store.config, embedder, rows)
+    assert loaded.short_term_ids == store.short_term_ids == (1,)
     assert len(loaded.records) == len(store.records)
     for a, b in zip(loaded.records, store.records):
-        assert (a.id, a.kind, a.text, a.created_at, a.salience) == (
+        assert (a.id, a.kind, a.text, a.created_at, a.salience, a.mark_short) == (
             b.id,
             b.kind,
             b.text,
             b.created_at,
             b.salience,
+            b.mark_short,
         )
         assert a.embedding.tobytes() == b.embedding.tobytes()
     # Same query, same result, including similarity values.
@@ -252,8 +252,6 @@ def test_snapshot_roundtrip(embedder):
     assert [r.text for r in prefix.records] == ["first event", "a known fact"]
     with pytest.raises(ValueError, match="out of order"):
         MemoryStore.load("a01", store.config, embedder, rows[1:])
-    with pytest.raises(ValueError, match="without records"):
-        MemoryStore.load("a01", store.config, embedder, rows[:1], state=store.state())
 
 
 def _random_store(rng: random.Random, n_records: int, config_id: int) -> MemoryStore:
@@ -341,9 +339,11 @@ def test_retrieve_similarities_equal_canonical_cosine_bit_for_bit(
     handle = io.BytesIO()
     store.save(handle)
     loaded = MemoryStore.load(
-        "h", config, HashedBagEmbedder(dim=32), _rows(handle.getvalue()),
-        state=store.state(), capacity=8,
+        "h", config, HashedBagEmbedder(dim=32), _rows(handle.getvalue()), capacity=8
     )
+    # Replaying the inserts replays eviction: timestamps here are not
+    # monotonic and short-term holds at most 8 of up to 40 records.
+    assert loaded.short_term_ids == store.short_term_ids
     assert [r.embedding.tobytes() for r in loaded.records] == [
         r.embedding.tobytes() for r in store.records
     ]
@@ -374,9 +374,9 @@ def test_similarities_equal_cosine_at_every_block_boundary(dim, size):
     handle = io.BytesIO()
     store.save(handle)
     loaded = MemoryStore.load(
-        "b", store.config, HashedBagEmbedder(dim=dim), _rows(handle.getvalue()),
-        state=store.state(), capacity=8,
+        "b", store.config, HashedBagEmbedder(dim=dim), _rows(handle.getvalue()), capacity=8
     )
+    assert loaded.short_term_ids == store.short_term_ids
     for query in ("word1 word2", "word3", "word0 word0 word7 word11"):
         built = _assert_bit_parity(store, query)
         assert _assert_bit_parity(loaded, query) == built

@@ -285,7 +285,7 @@ def test_resumed_run_directory_equals_uninterrupted(
     with pytest.raises(ProviderError):
         _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
     _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
-    # Counters included: the stores' counters come back from the commit line.
+    # Counters included: the manifest reads all of them off the log.
     assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
     assert _run_dir_files(out) == _run_dir_files(reference_run)
 
@@ -323,8 +323,9 @@ def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_ru
 
 
 def _downgrade_to_checkpoint_v2(run_dir: Path) -> None:
-    """Replace a run directory's journal by the checkpoint-v2 layout of the
-    same state: checkpoint/state.json plus one memory-store-v2 file per agent."""
+    """Replace a run directory's journal by the checkpoint-v2 layout: a
+    checkpoint/state.json plus one memory-store-v2 file per agent. The store
+    states are placeholders; a resume refuses the layout on state.json alone."""
     ckpt = run_dir / "checkpoint"
     journal = ckpt / "journal.jsonl"
     lines = [json.loads(line) for line in journal.read_text("utf-8").splitlines()]
@@ -332,7 +333,8 @@ def _downgrade_to_checkpoint_v2(run_dir: Path) -> None:
     header, commit = lines[0], lines[-1]["commit"]
     (ckpt / "stores").mkdir()
     stores = {}
-    for agent_id, saved in commit["stores"].items():
+    for agent_id in commit["roles"]:
+        saved = {"short_term": [], "now": None}
         rows = [dict(row, vector="") for row in lines[1:-1] if row.get("agent") == agent_id]
         text = "".join(
             json.dumps(row) + "\n"
@@ -556,14 +558,34 @@ def test_two_steps_per_agent_in_a_slot_do_not_depend_on_jobs(tmp_path, mini_fixt
 
 
 def _run_counters(entries: list[dict]) -> dict:
-    """The five run counters of a config-1 run's logged entries (raw dicts)."""
-    return {
+    """The eleven manifest counters of a config-1 run's logged entries (raw
+    dicts): every step retrieves, and queries the short-term tier once its
+    agent has inserted a record in an earlier step."""
+    counters = {
         "action_calls": len(entries),
         "memory_update_calls": len(entries),
+        "retrieve_calls": len(entries),
         "role_update_calls": sum(e["role_updated"] is not None for e in entries),
         "memory_update_parse_failures": sum(e["memory_update_failed"] for e in entries),
         "rejected_moves": sum(e["rejected_move"] is not None for e in entries),
+        "short_term_queries": 0,
+        "insert_experience": 0,
+        "insert_knowledge": 0,
+        "skipped_disabled": 0,
+        "skipped_empty": 0,
     }
+    inserted: set[str] = set()
+    for entry in entries:
+        counters["short_term_queries"] += entry["agent_id"] in inserted
+        for key, count in entry["memory_update_counts"].items():
+            if key.startswith("skipped_"):
+                counters[key] += count
+                continue
+            kind = "experience" if "experience" in key else "knowledge"
+            counters[f"insert_{kind}"] += count
+            if count:
+                inserted.add(entry["agent_id"])
+    return counters
 
 
 def test_aborted_manifest_counts_the_logged_steps(tmp_path, mini_dataset, mini_fixture):
@@ -581,53 +603,47 @@ def test_aborted_manifest_counts_the_logged_steps(tmp_path, mini_dataset, mini_f
     assert len(entries) == manifest["completed_steps"] == committed
     counters = _run_counters(entries)
     assert counters["role_update_calls"] > 0
-    assert {name: manifest["counters"][name] for name in counters} == counters
+    assert 0 < counters["short_term_queries"] < len(entries)
+    assert counters["insert_experience"] > 0 and counters["insert_knowledge"] > 0
+    assert manifest["counters"] == counters
 
 
-def _edit_commits(journal: bytes, edit) -> bytes:
-    """``journal`` with ``edit`` applied to the state of each commit line."""
+def test_commit_lines_hold_what_the_log_and_records_cannot_give(reference_run):
+    journal = (reference_run / "checkpoint" / "journal.jsonl").read_text("utf-8")
+    rows = [json.loads(line) for line in journal.splitlines()]
+    assert rows[0]["format"] == "checkpoint-v4"
+    commits = [row["commit"] for row in rows if "commit" in row]
+    assert commits and all(
+        set(commit) == {"completed_steps", "log_bytes", "roles", "locations"}
+        for commit in commits
+    )
+    records = [row for row in rows[1:] if "commit" not in row]
+    assert {row["short"] for row in records} == {False, True}
+
+
+def test_resume_refuses_a_checkpoint_v3_journal(mini_dataset, mini_fixture, reference_run):
+    # The earlier journal: record lines without "short", and commit lines
+    # that also held each store's short-term ids and "now".
+    journal = reference_run / "checkpoint" / "journal.jsonl"
     lines = []
-    for line in journal.split(b"\n")[:-1]:
-        if line.startswith(b'{"commit": '):
-            row = json.loads(line)
-            edit(row["commit"])
-            line = json.dumps(row, ensure_ascii=False, sort_keys=True).encode("utf-8")
-        lines.append(line + b"\n")
-    return b"".join(lines)
-
-
-def test_resume_reads_commit_lines_that_carry_run_counters(
-    tmp_path, mini_dataset, mini_fixture, reference_run
-):
-    out = tmp_path / "resumed"
-    provider = _AbortAtAction(
-        MemoryGatedProvider.from_file(mini_fixture.script_path),
-        _final_slot_start(mini_dataset),
-    )
-    with pytest.raises(ProviderError):
-        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
-    # Rewrite the journal as earlier versions wrote it: each commit line also
-    # held the run counters of the steps committed so far.
-    _meta, entries = load_log(out / "log.jsonl")
-    journal = out / "checkpoint" / "journal.jsonl"
-    journal.write_bytes(
-        _edit_commits(
-            journal.read_bytes(),
-            lambda state: state.update(
-                counters=_run_counters(entries[: state["completed_steps"]])
-            ),
-        )
-    )
-
-    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
-    files, expected = _run_dir_files(out), _run_dir_files(reference_run)
-    name = "checkpoint/journal.jsonl"
-    resumed_journal, expected_journal = files.pop(name), expected.pop(name)
-    assert files == expected
-    assert resumed_journal != expected_journal
-    without = _edit_commits(resumed_journal, lambda state: state.pop("counters", None))
-    assert without == expected_journal
-    assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
+    for line in journal.read_text("utf-8").splitlines():
+        row = json.loads(line)
+        if "format" in row:
+            row["format"] = "checkpoint-v3"
+        elif "commit" in row:
+            row["commit"]["stores"] = {
+                agent_id: {"short_term": [], "now": None} for agent_id in row["commit"]["roles"]
+            }
+        else:
+            del row["short"]
+        lines.append(json.dumps(row, ensure_ascii=False) + "\n")
+    journal.write_text("".join(lines), "utf-8")
+    files = _run_dir_files(reference_run)
+    with pytest.raises(ValueError, match="checkpoint-v3") as excinfo:
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+    assert "checkpoint-v4" in str(excinfo.value)
+    # Refused before anything is cut back.
+    assert _run_dir_files(reference_run) == files
 
 
 def test_line_separators_in_text_survive_log_and_resume(tmp_path, mini_dataset, mini_fixture):
