@@ -176,49 +176,61 @@ def load_role(path: str | Path) -> RoleSetting:
     return parse_role_text(Path(path).read_text(encoding="utf-8"))
 
 
-@dataclass
 class WorkingMemory:
-    """Bounded sliding window of (user, assistant) turns; oldest drop first."""
+    """Bounded sliding window of (user, assistant) turns; oldest drop first.
 
-    window: int = DEFAULT_WINDOW
-    turns: list[tuple[str, str]] = field(default_factory=list)
+    Each turn is held as its two prompt messages, built once, so every
+    prompt that shows the turn shares them.
+    """
+
+    def __init__(self, window: int = DEFAULT_WINDOW):
+        self.window = window
+        # user, assistant, user, assistant, ...: at most ``window`` turns.
+        self.messages: list[ChatMessage] = []
 
     def append_turn(self, user: str, assistant: str) -> None:
         if not user.strip() or not assistant.strip():
             raise EmptyTextError("working-memory turns must be non-empty")
-        self.turns.append((user, assistant))
-        while len(self.turns) > self.window:
-            self.turns.pop(0)
+        messages = self.messages
+        messages += (ChatMessage("user", user), ChatMessage("assistant", assistant))
+        if len(messages) > 2 * self.window:
+            del messages[: len(messages) - 2 * self.window]
+
+    @property
+    def turns(self) -> list[tuple[str, str]]:
+        """The (user, assistant) texts of each turn, oldest first."""
+        pairs = zip(self.messages[::2], self.messages[1::2])
+        return [(user.content, assistant.content) for user, assistant in pairs]
 
     def __len__(self) -> int:
-        return len(self.turns)
+        return len(self.messages) // 2
+
+
+def system_message(role: RoleSetting) -> ChatMessage:
+    """The system message of a prompt: the serialized role."""
+    return ChatMessage("system", serialize_role(role))
 
 
 def assemble_prompt(
-    role: RoleSetting,
+    system: ChatMessage,
     wm: WorkingMemory,
     situation: str,
     retrieved: list | None = None,
 ) -> list[ChatMessage]:
     """Build the per-step message sequence.
 
-    Shape: [system: serialized role] ++ working-memory turns as alternating
-    user/assistant messages ++ [final user message]. The final user message is
-    the situation text (time + environment + other-agent interactions),
-    followed by a "Relevant memories:" block listing retrieved texts in
-    retrieval order (short-term entries first). An empty retrieval list omits
-    the block entirely.
+    Shape: [system message, see :func:`system_message`] ++ working-memory
+    turns as alternating user/assistant messages ++ [final user message].
+    The final user message is the situation text (time + environment +
+    other-agent interactions), followed by a "Relevant memories:" block
+    listing retrieved texts in retrieval order (short-term entries first).
+    An empty retrieval list omits the block entirely.
     """
-    messages = [ChatMessage("system", serialize_role(role))]
-    for user, assistant in wm.turns:
-        messages.append(ChatMessage("user", user))
-        messages.append(ChatMessage("assistant", assistant))
     final = situation
     if retrieved:
         memory_lines = "\n".join(f"- {record.text}" for record, _sim in retrieved)
         final = f"{situation}\n\nRelevant memories:\n{memory_lines}"
-    messages.append(ChatMessage("user", final))
-    return messages
+    return [system, *wm.messages, ChatMessage("user", final)]
 
 
 def update_role_setting(

@@ -83,7 +83,8 @@ def _provider_factory(name: str, dataset: Dataset, root: Path, providers_file: s
         script_path = Path(name.split(":", 1)[1])
         if not script_path.exists():
             raise click.ClickException(f"script file not found: {script_path}")
-        return lambda: ScriptedProvider.from_file(script_path)
+        # Named after the argument, so two scripts are two providers.
+        return lambda: ScriptedProvider.from_file(script_path, name=name)
     if providers_file is None:
         raise click.ClickException(
             f"unknown provider {name!r} and no --providers-file given"

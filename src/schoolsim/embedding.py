@@ -71,22 +71,19 @@ class HashedBagEmbedder:
         self.dim = dim
         self.seed = seed
         self._key = seed.to_bytes(8, "little", signed=True)
-        self._codes: dict[str, tuple[int, float]] = {}
+        self._codes: dict[str, int] = {}
 
-    def _token_code(self, token: str) -> tuple[int, float]:
-        """(bucket, sign) of a token, memoised per embedder.
+    def _token_code(self, token: str) -> int:
+        """Hash a token to its signed code and memoise it: its bucket when its
+        sign is +1, ``dim + bucket`` when it is -1.
 
         Worker threads share one embedder; two that miss on the same token
         store the same value, so the cache needs no lock.
         """
-        code = self._codes.get(token)
-        if code is None:
-            digest = hashlib.blake2b(
-                token.encode("utf-8"), digest_size=8, key=self._key
-            )
-            h = int.from_bytes(digest.digest(), "little")
-            code = (h % self.dim, 1.0 if (h >> 63) & 1 else -1.0)
-            self._codes[token] = code
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key)
+        h = int.from_bytes(digest.digest(), "little")
+        code = h % self.dim if (h >> 63) & 1 else self.dim + h % self.dim
+        self._codes[token] = code
         return code
 
     def embed(self, text: str) -> np.ndarray:
@@ -97,18 +94,24 @@ class HashedBagEmbedder:
             # Non-empty text made purely of separators still gets a vector so
             # the unit-norm invariant holds; hash the trimmed text whole.
             tokens = [text.strip()]
-        codes = [self._token_code(token) for token in tokens]
-        buckets = [bucket for bucket, _ in codes]
-        # Sums of +-1.0 are exact in any order, so this equals adding the
-        # signs one token at a time.
-        vec = np.bincount(
-            buckets, weights=[sign for _, sign in codes], minlength=self.dim
-        )
-        # np.linalg.norm's own expression for a vector, so the same bits.
-        norm = math.sqrt(vec.dot(vec))
-        if norm == 0.0:
+        codes = self._codes
+        try:
+            token_codes = [codes[token] for token in tokens]
+        except KeyError:
+            token_codes = [
+                codes[token] if token in codes else self._token_code(token)
+                for token in tokens
+            ]
+        # Per-code token counts; the signed count of a bucket is its +1
+        # count minus its -1 count, all in exact integers.
+        counts = np.bincount(token_codes, minlength=2 * self.dim)
+        vec = counts[: self.dim] - counts[self.dim :]
+        square = int(vec.dot(vec))
+        if not square:
             # Signed counts of repeated tokens can cancel; fall back to the
             # unsigned bag so the output is never the zero vector.
-            vec = np.bincount(buckets, minlength=self.dim).astype(np.float64)
-            norm = math.sqrt(vec.dot(vec))
-        return vec / norm
+            vec = counts[: self.dim] + counts[self.dim :]
+            square = int(vec.dot(vec))
+        # The integer square is exact, so its root is np.linalg.norm of the
+        # float vector bit for bit, and so is the quotient.
+        return vec / math.sqrt(square)

@@ -17,16 +17,21 @@ Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
   rounds as it rounds the scalar expressions. So the bits are the same. A
   mat-vec (``M @ q``, BLAS ``gemv``) or ``einsum`` sums in another order,
   rounds differently, reorders ties and is a behaviour change;
-* with the short/long-term hierarchy enabled, the result is the top
-  ``k_short`` qualifying short-term records followed by the top ``k_long``
-  qualifying long-term records not already returned; with the hierarchy
-  disabled, a single segment of ``k_short + k_long`` long-term records is
-  returned and short-term is never read;
-* under the dual structure with both kinds enabled, the long-term budget is
-  split between the bases (experience gets the larger half); under the
-  unified structure, or with a single enabled kind, records rank jointly;
-* each segment is sorted by non-increasing similarity, ties broken by lower
-  record id.
+* all records are ranked once, by non-increasing similarity with ties
+  broken by lower record id (a stable argsort), and one walk down that
+  ranking fills every segment. With the short/long-term hierarchy enabled,
+  the walk gives each short-term id to the short-term segment until it
+  holds ``k_short``; every other id, short-term ones past that budget
+  included, competes for the ``k_long`` long-term places. With the
+  hierarchy disabled, short-term is never read and the long-term segment
+  has ``k_short + k_long`` places;
+* under the dual structure with both kinds enabled, the long-term places
+  are split into a quota per base (experience gets the larger half);
+  under the unified structure, or with a single enabled kind, records
+  share one quota;
+* the walk stops at the first record that does not qualify (all below it
+  rank lower) or once every budget is full. The result is the short-term
+  segment followed by the long-term one, each in ranked order.
 """
 
 from __future__ import annotations
@@ -138,10 +143,11 @@ class MemoryStore:
         self._records: list[MemoryRecord] = []
         # Record i's embedding is row i % BLOCK_ROWS of block i // BLOCK_ROWS.
         self._blocks: list[np.ndarray] = []
-        # By record id: the L2 norm of its embedding, and whether it is an
-        # experience. Both grow a block's worth at a time.
+        # By record id: the L2 norm of its embedding, grown a block's worth at
+        # a time, and the slot ordinal and salience that rank it for eviction.
         self._norms = np.empty(0)
-        self._experience = np.empty(0, dtype=bool)
+        self._ordinals: list[int] = []
+        self._saliences: list[float] = []
         self._short_term: list[int] = []
         self._next_id = 0
         self._now = SimTime(1, 0)
@@ -183,21 +189,31 @@ class MemoryStore:
             )
         if not text or not text.strip():
             raise EmptyTextError("memory text must be non-empty")
+        return self._append(kind, text, timestamp, salience, mark_short)
+
+    def _append(
+        self,
+        kind: MemoryKind,
+        text: str,
+        timestamp: SimTime,
+        salience: float,
+        mark_short: bool,
+    ) -> int:
+        """Insert a record whose kind and text :meth:`insert` accepts."""
         vector = self.embedder.embed(text)
         record_id = self._next_id
         row_index = record_id % BLOCK_ROWS
         if row_index == 0:
             self._blocks.append(np.empty((BLOCK_ROWS, self.embedder.dim)))
             self._norms = np.concatenate((self._norms, np.empty(BLOCK_ROWS)))
-            self._experience = np.concatenate(
-                (self._experience, np.empty(BLOCK_ROWS, dtype=bool))
-            )
         row = self._blocks[-1][row_index]
         row[:] = vector
         row.flags.writeable = False
         # np.linalg.norm's own expression for a vector, so the same bits.
         self._norms[record_id] = math.sqrt(row.dot(row))
-        self._experience[record_id] = kind is MemoryKind.EXPERIENCE
+        ordinal = timestamp.ordinal
+        self._ordinals.append(ordinal)
+        self._saliences.append(salience)
         record = MemoryRecord(
             id=record_id,
             kind=kind,
@@ -209,12 +225,12 @@ class MemoryStore:
         )
         self._records.append(record)
         self._next_id += 1
-        if timestamp.ordinal > self._now.ordinal:
+        if ordinal > self._now.ordinal:
             self._now = timestamp
         if mark_short:
-            self._short_term.append(record.id)
+            self._short_term.append(record_id)
             self.evict_short_term()
-        return record.id
+        return record_id
 
     def evict_short_term(self) -> list[int]:
         """Drop lowest-salience ids while over capacity.
@@ -223,20 +239,22 @@ class MemoryStore:
         eviction only; the stored salience is untouched). Ties go to the
         oldest record, then the lowest id.
         """
-        evicted: list[int] = []
+        excess = len(self._short_term) - self.capacity
+        if excess <= 0:
+            return []
         now = self._now.ordinal
-        while len(self._short_term) > self.capacity:
-            victim = min(
-                self._short_term,
-                key=lambda rid: (
-                    self._records[rid].salience
-                    * self.decay ** (now - self._records[rid].created_at.ordinal),
-                    self._records[rid].created_at.ordinal,
-                    rid,
-                ),
-            )
-            self._short_term.remove(victim)
-            evicted.append(victim)
+        decay = self.decay
+        ordinals = self._ordinals
+        saliences = self._saliences
+        # Keys do not change while ids leave, so the victims are the
+        # ``excess`` smallest keys, lowest first; rid makes each key unique.
+        keys = sorted(
+            (saliences[rid] * decay ** (now - ordinals[rid]), ordinals[rid], rid)
+            for rid in self._short_term
+        )
+        evicted = [rid for _, _, rid in keys[:excess]]
+        gone = set(evicted)
+        self._short_term = [rid for rid in self._short_term if rid not in gone]
         return evicted
 
     def apply_update(
@@ -253,17 +271,18 @@ class MemoryStore:
         counts["skipped_disabled"] = 0
         counts["skipped_empty"] = 0
         for field_name, kind, mark_short, salience in UPDATE_ROUTES:
-            for text in getattr(update, field_name):
-                if not self.config.memory_enabled or not self.config.kind_enabled(kind):
-                    counts["skipped_disabled"] += 1
-                    continue
+            texts = getattr(update, field_name)
+            if not texts:
+                continue
+            if not self.config.memory_enabled or not self.config.kind_enabled(kind):
+                counts["skipped_disabled"] += len(texts)
+                continue
+            for text in texts:
                 if not text or not text.strip():
                     counts["skipped_empty"] += 1
                     logger.debug("%s: skipped empty update string", self.agent_id)
                     continue
-                self.insert(
-                    kind, text, timestamp, salience=salience, mark_short=mark_short
-                )
+                self._append(kind, text, timestamp, salience, mark_short)
                 counts[field_name] += 1
         if counts["skipped_disabled"]:
             logger.debug(
@@ -274,22 +293,6 @@ class MemoryStore:
         return counts
 
     # Retrieval
-
-    def _long_term_segment(self, ranked: np.ndarray, budget: int) -> np.ndarray:
-        """The ids of ``ranked`` that the long-term segment takes, in ranked
-        order: the first ``budget``, or under the dual structure with both
-        kinds enabled the first ``budget - budget // 2`` experiences and the
-        first ``budget // 2`` knowledge records."""
-        both_kinds = self.config.eb_enabled and self.config.kb_enabled
-        if self.config.base_structure is BaseStructure.DUAL and both_kinds:
-            experience = self._experience[ranked]
-            keep = np.where(
-                experience,
-                np.cumsum(experience) <= budget - budget // 2,
-                np.cumsum(~experience) <= budget // 2,
-            )
-            return ranked[keep]
-        return ranked[:budget]
 
     def retrieve(
         self, query: str, policy: RetrievalPolicy | None = None
@@ -310,27 +313,47 @@ class MemoryStore:
         # embedding.cosine's expression, operand for operand.
         query_norm = math.sqrt(query_vec.dot(query_vec))
         sims = np.clip(dots / (query_norm * self._norms[:n]), -1.0, 1.0)
-        # Qualifying ids in (-similarity, id) order: a stable sort keeps
-        # equal similarities in id order.
-        ranked = np.argsort(-sims, kind="stable")
-        ranked = ranked[sims[ranked] > policy.min_similarity]
-        if not self.config.stlt_enabled:
-            chosen = self._long_term_segment(ranked, policy.k_short + policy.k_long)
+        # Ids in (-similarity, id) order: a stable sort keeps equal
+        # similarities in id order.
+        ranked = np.argsort(-sims, kind="stable").tolist()
+        sims = sims.tolist()
+
+        # One walk down the ranking fills every segment's budget.
+        config = self.config
+        if config.stlt_enabled:
+            short_term = set(self._short_term)
+            short_left = policy.k_short
+            long_budget = policy.k_long
         else:
-            short_term = np.zeros(n, dtype=bool)
-            short_term[self._short_term] = True
-            in_short = short_term[ranked]
-            taken = in_short & (np.cumsum(in_short) <= policy.k_short)
-            chosen = np.concatenate(
-                (
-                    ranked[taken],
-                    self._long_term_segment(ranked[~taken], policy.k_long),
-                )
-            )
-        return [
-            (self._records[rid], sim)
-            for rid, sim in zip(chosen.tolist(), sims[chosen].tolist())
-        ]
+            short_term = ()
+            short_left = 0
+            long_budget = policy.k_short + policy.k_long
+        # Under the dual structure with both kinds each kind has its own
+        # long-term quota; otherwise every record counts against one.
+        dual = config.base_structure is BaseStructure.DUAL and (
+            config.eb_enabled and config.kb_enabled
+        )
+        experience_left = long_budget - long_budget // 2 if dual else long_budget
+        knowledge_left = long_budget // 2 if dual else 0
+        records = self._records
+        short: list[int] = []
+        long: list[int] = []
+        for rid in ranked:
+            if not (short_left or experience_left or knowledge_left):
+                break
+            if sims[rid] <= policy.min_similarity:
+                break
+            if short_left and rid in short_term:
+                short.append(rid)
+                short_left -= 1
+            elif not dual or records[rid].kind is MemoryKind.EXPERIENCE:
+                if experience_left:
+                    long.append(rid)
+                    experience_left -= 1
+            elif knowledge_left:
+                long.append(rid)
+                knowledge_left -= 1
+        return [(records[rid], sims[rid]) for rid in short + long]
 
     # Persistence. ``save`` writes one JSON line per record, key order agent,
     # id, kind, day, slot, salience, short, text; ``short`` is the insert's

@@ -21,7 +21,8 @@ import logging
 import os
 import re
 import shutil
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .agent import (
     WorkingMemory,
     assemble_prompt,
     parse_role_text,
-    serialize_role,
+    system_message,
     update_role_setting,
 )
 from .config import SimulationConfig
@@ -220,6 +221,10 @@ class Simulation:
             raise ValueError(f"roles missing for agents: {', '.join(missing)}")
         self.dataset = dataset
         self.roles = roles
+        # Each role's system message, rebuilt only when the role changes.
+        self.system_messages = {
+            agent_id: system_message(role) for agent_id, role in roles.items()
+        }
         self.provider = provider
         self.config = config
         self.seed = seed
@@ -352,7 +357,9 @@ class Simulation:
             retrieved = store.retrieve(situation, self.policy)
 
         # 2-3. Prompt assembly and the action call.
-        prompt = assemble_prompt(role, wm, situation, retrieved)
+        prompt = assemble_prompt(
+            self.system_messages[agent_id], wm, situation, retrieved
+        )
         try:
             response = self.provider.complete(prompt, self.gen_params)
         except ProviderError as exc:
@@ -415,6 +422,8 @@ class Simulation:
                 )
             except ProviderError as exc:
                 raise self._with_context(exc, agent_id, step_index)
+            if role_updated:
+                self.system_messages[agent_id] = system_message(role)
 
         return InteractionLogEntry(
             step_index=step_index,
@@ -462,9 +471,14 @@ class Simulation:
         return groups
 
     def run(self, out_dir: str | Path | None = None, jobs: int = 1) -> InteractionLog:
+        # One pool serves every slot of the run.
+        with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            return self._run(out_dir, pool)
+
+    def _run(self, out_dir: str | Path | None, pool: Executor | None) -> InteractionLog:
         if not out_dir:
             for group in self._slot_groups(self.completed_steps):
-                self._run_slot(group, jobs)
+                self._run_slot(group, pool)
             return self.log()
         out_path = Path(out_dir)
         ckpt = out_path / CHECKPOINT_DIRNAME
@@ -483,7 +497,7 @@ class Simulation:
                 self._journal.write(_json_line(header))
             try:
                 for group in self._slot_groups(self.completed_steps):
-                    self._run_slot(group, jobs)
+                    self._run_slot(group, pool)
                     self.save_checkpoint()
             except ProviderError:
                 # Stores may hold partial mutations from the failed slot; the
@@ -493,13 +507,14 @@ class Simulation:
             self._write_outputs(out_path, status="completed")
         return self.log()
 
-    def _run_slot(self, group: list[int], jobs: int) -> None:
+    def _run_slot(self, group: list[int], pool: Executor | None) -> None:
         """Step every agent of one slot; the slot's entries join the log at the end.
 
         An agent's steps of the slot form one chain that runs in dataset
         order on one thread; chains of different agents share no state, so
-        they may run in parallel. Steps are sorted by (slot, agent), so the
-        chains joined in order are the slot's steps in dataset order.
+        they may run in parallel on ``pool``. Steps are sorted by (slot,
+        agent), so the chains joined in order are the slot's steps in
+        dataset order.
         """
         chains: dict[str, list[int]] = {}
         for index in group:
@@ -508,11 +523,10 @@ class Simulation:
         def run_chain(chain: list[int]) -> list[InteractionLogEntry]:
             return [self.step_agent(index) for index in chain]
 
-        if jobs <= 1 or len(chains) == 1:
+        if pool is None or len(chains) == 1:
             results = list(map(run_chain, chains.values()))
         else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_chain, chains.values()))
+            results = list(pool.map(run_chain, chains.values()))
         for entries in results:
             self.entries.extend(entries)
         self.completed_steps += len(group)
@@ -592,7 +606,8 @@ class Simulation:
             "completed_steps": self.completed_steps,
             "log_bytes": self._log_bytes,
             "roles": {
-                agent_id: serialize_role(role) for agent_id, role in self.roles.items()
+                agent_id: message.content
+                for agent_id, message in self.system_messages.items()
             },
             "locations": self.env.locations,
         }
@@ -682,10 +697,11 @@ class Simulation:
             self._journaled[agent_id] = store.long_term_size()
         for agent_id, text in state["roles"].items():
             self.roles[agent_id] = parse_role_text(text)
+            self.system_messages[agent_id] = system_message(self.roles[agent_id])
         self.env.locations = state["locations"]
         # Working memory is the window of each agent's latest logged turns.
         for wm in self.working_memories.values():
-            wm.turns.clear()
+            wm.messages.clear()
         for entry in entries:
             self.working_memories[entry.agent_id].append_turn(
                 entry.situation_text, entry.response

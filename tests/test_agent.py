@@ -16,6 +16,7 @@ from schoolsim.agent import (
     parse_role_text,
     save_role,
     serialize_role,
+    system_message,
     update_role_setting,
 )
 from schoolsim.errors import EmptyTextError, RoleParseError
@@ -69,7 +70,9 @@ def test_working_memory_never_exceeds_window(turns, window):
 
 
 def test_prompt_with_empty_history_and_no_memories():
-    messages = assemble_prompt(make_teacher(), WorkingMemory(), "Day 1, Period 1 | text")
+    messages = assemble_prompt(
+        system_message(make_teacher()), WorkingMemory(), "Day 1, Period 1 | text"
+    )
     assert len(messages) == 2
     assert [m.role for m in messages] == ["system", "user"]
     assert "Relevant memories" not in messages[-1].content
@@ -79,7 +82,7 @@ def test_prompt_counts_with_history():
     wm = WorkingMemory()
     for i in range(3):
         wm.append_turn(f"u{i}", f"a{i}")
-    messages = assemble_prompt(make_teacher(), wm, "situation text")
+    messages = assemble_prompt(system_message(make_teacher()), wm, "situation text")
     assert len(messages) == 8
     roles = [m.role for m in messages]
     assert roles[0] == "system"
@@ -93,7 +96,9 @@ class _FakeRecord:
 
 def test_prompt_memory_block_preserves_retrieval_order():
     retrieved = [(_FakeRecord("short-term fact"), 0.9), (_FakeRecord("long-term fact"), 0.8)]
-    messages = assemble_prompt(make_teacher(), WorkingMemory(), "situation", retrieved)
+    messages = assemble_prompt(
+        system_message(make_teacher()), WorkingMemory(), "situation", retrieved
+    )
     final = messages[-1].content
     assert final.startswith("situation")
     block = final.split("Relevant memories:\n")[1]

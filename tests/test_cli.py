@@ -492,3 +492,31 @@ def test_run_resume_with_another_scripted_section_is_an_error(
     result = runner.invoke(main, args + ["--provider", "beta", "--resume"])
     assert result.exit_code == 1, result.output
     assert "cannot resume" in result.output and "different provider" in result.output
+
+
+def test_run_resume_with_another_script_argument_is_an_error(
+    runner, cli_fixture_dir, tmp_path
+):
+    # A scripted:<path> provider is named after its argument, so two script
+    # files are different providers.
+    scripts = []
+    for name in ("alpha", "beta"):
+        script = tmp_path / f"{name}.json"
+        script.write_text(json.dumps({"script": {}, "fallback": f"{name} answers."}))
+        scripts.append(f"scripted:{script}")
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args + ["--provider", scripts[0]])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "manifest.json").read_text())["provider"] == scripts[0]
+    result = runner.invoke(main, args + ["--provider", scripts[1], "--resume"])
+    assert result.exit_code == 1, result.output
+    assert "cannot resume" in result.output and "different provider" in result.output

@@ -112,6 +112,9 @@ def flaky_server():
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/chat"
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
 
 
 def test_http_provider_happy_path(flaky_server):

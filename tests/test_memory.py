@@ -401,3 +401,106 @@ def test_record_embeddings_are_read_only_views_that_never_move():
         )
     with pytest.raises(ValueError):
         first[0] = 0.0
+
+
+def _filled_store(
+    config_id: int, size: int, seed: int, capacity: int, dim: int = 32
+) -> MemoryStore:
+    """``size`` seeded records of mixed kind, salience and tier."""
+    rng = random.Random(seed)
+    config = config_by_id(config_id)
+    store = MemoryStore("q", config, HashedBagEmbedder(dim=dim), capacity=capacity)
+    kinds = [k for k in MemoryKind if config.kind_enabled(k)]
+    for i in range(size):
+        text = " ".join(rng.choice(_VOCAB) for _ in range(rng.randint(1, 6)))
+        store.insert(
+            rng.choice(kinds),
+            text,
+            SimTime(1 + i // 30, i // 3 % 10),
+            salience=rng.choice([0.5, 1.0, rng.random()]),
+            mark_short=rng.random() < 0.5,
+        )
+    return store
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    config_id=st.integers(min_value=1, max_value=8),
+    size=st.one_of(
+        st.integers(0, 12),
+        st.integers(BLOCK_ROWS - 2, 2 * BLOCK_ROWS + 2),
+    ),
+    seed=st.integers(0, 2**16),
+    capacity=st.integers(0, 10),
+    k_short=st.integers(0, 6),
+    k_long=st.integers(0, 6),
+    min_similarity=st.sampled_from([-1.0, 0.0, 0.1, 0.3]),
+    query=_PHRASE,
+)
+def test_retrieve_equals_the_oracle_bit_for_bit(
+    config_id, size, seed, capacity, k_short, k_long, min_similarity, query
+):
+    # Half the inserts are short-term and capacity is at most 10, so the
+    # short-term set is what eviction left; dim=32 and twelve words make
+    # many similarities tie exactly.
+    store = _filled_store(config_id, size, seed, capacity)
+    policy = RetrievalPolicy(k_short=k_short, k_long=k_long, min_similarity=min_similarity)
+    got = [(record.id, sim) for record, sim in store.retrieve(query, policy)]
+    assert got == oracle_retrieve(store, query, policy)
+
+
+def _evict_reference(store: MemoryStore, short_term: list[int]) -> None:
+    """The short-term eviction rule as one min() per victim, over records."""
+    records = store.records
+    now = max(r.created_at.ordinal for r in records)
+    while len(short_term) > store.capacity:
+        victim = min(
+            short_term,
+            key=lambda rid: (
+                records[rid].salience
+                * store.decay ** (now - records[rid].created_at.ordinal),
+                records[rid].created_at.ordinal,
+                rid,
+            ),
+        )
+        short_term.remove(victim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    inserts=st.lists(
+        st.tuples(
+            st.integers(0, 3),  # slot: few slots, so several inserts share one
+            st.sampled_from([0.5, 1.0, 0.25, 0.75]),
+            st.booleans(),
+        ),
+        max_size=30,
+    ),
+    capacity=st.integers(0, 4),
+    decay=st.sampled_from([0.99, 0.5, 1.0]),
+)
+def test_eviction_equals_the_min_rule(inserts, capacity, decay):
+    config = config_by_id(1)
+    store = MemoryStore("e", config, HashedBagEmbedder(dim=16), capacity=capacity, decay=decay)
+    expected: list[int] = []
+    for i, (slot, salience, mark_short) in enumerate(inserts):
+        rid = store.insert(
+            MemoryKind.KNOWLEDGE, f"word{i % 12} note {i}", SimTime(1, slot),
+            salience=salience, mark_short=mark_short,
+        )
+        if mark_short:
+            expected.append(rid)
+            _evict_reference(store, expected)
+        assert store.short_term_ids == tuple(expected)
+    handle = io.BytesIO()
+    store.save(handle)
+    loaded = MemoryStore.load(
+        "e", config, HashedBagEmbedder(dim=16), _rows(handle.getvalue()),
+        capacity=capacity, decay=decay,
+    )
+    assert loaded.short_term_ids == tuple(expected)
+    # The loaded store evicts by the same rule on its next insert.
+    loaded.insert(MemoryKind.KNOWLEDGE, "word1 late", SimTime(2, 0), mark_short=True)
+    expected.append(len(inserts))
+    _evict_reference(loaded, expected)
+    assert loaded.short_term_ids == tuple(expected)

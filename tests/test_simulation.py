@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import builtins
+import dataclasses
 import json
 import shutil
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import load_roles_dir
+from schoolsim.agent import serialize_role
 from schoolsim.config import config_by_id, config_matrix
 from schoolsim.dataset import load_standard_group, take_steps
 from schoolsim.environment import format_situation_header, parse_situation_header
@@ -288,6 +290,70 @@ def test_resumed_run_directory_equals_uninterrupted(
     # Counters included: the manifest reads all of them off the log.
     assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
     assert _run_dir_files(out) == _run_dir_files(reference_run)
+
+
+_TRAIT = "Now checks in with the quiet students first."
+
+
+class _TraitAtReflection(Provider):
+    """The memory-gated provider, except that every reflection adds a trait."""
+
+    def __init__(self, inner: Provider):
+        self.inner = inner
+        self.name = "trait-at-reflection"
+
+    def complete(self, messages, params=None):
+        if messages[-1].content.startswith(ROLE_UPDATE_HEADER):
+            return _TRAIT
+        return self.inner.complete(messages, params)
+
+
+def _assert_prompts_show_the_evolved_roles(entries, base_roles) -> None:
+    """Each prompt's system content is its agent's role with one trait per
+    earlier reflection."""
+    traits = {agent_id: 0 for agent_id in base_roles}
+    for entry in entries:
+        evolved = dataclasses.replace(
+            base_roles[entry.agent_id], mutable_aspects=[_TRAIT] * traits[entry.agent_id]
+        )
+        assert entry.prompt[0].content == serialize_role(evolved)
+        traits[entry.agent_id] += bool(entry.role_updated)
+    assert min(traits.values()) >= 1
+
+
+def test_prompts_carry_the_role_updated_at_reflection(tmp_path, mini_dataset, mini_fixture):
+    base_roles = load_roles_dir(mini_fixture.roles_dir)
+    day_two = sum(1 for step in mini_dataset.steps if step.time.day == 1)
+    assert 0 < day_two < mini_dataset.qa_count
+
+    def provider():
+        return _TraitAtReflection(MemoryGatedProvider.from_file(mini_fixture.script_path))
+
+    reference = tmp_path / "reference"
+    sim = Simulation(
+        mini_dataset, load_roles_dir(mini_fixture.roles_dir), provider(),
+        config_by_id(1), seed=0,
+    )
+    log = sim.run(out_dir=reference)
+    _assert_prompts_show_the_evolved_roles(log.entries, base_roles)
+    assert any(e.role_updated and e.time.day == 1 for e in log.entries)
+    for agent_id, role in sim.roles.items():
+        assert sim.system_messages[agent_id].content == serialize_role(role)
+
+    # Abort at the first action of day 2: the last commit holds day 1's
+    # reflections, and the resumed run rebuilds the system messages from it.
+    out = tmp_path / "resumed"
+    with pytest.raises(ProviderError):
+        _run(
+            mini_dataset, mini_fixture, 1, provider=_AbortAtAction(provider(), day_two),
+            seed=0, out_dir=out,
+        )
+    resumed = _run(
+        mini_dataset, mini_fixture, 1, provider=provider(), seed=0, out_dir=out,
+        resume=True,
+    )
+    _assert_prompts_show_the_evolved_roles(resumed.entries, base_roles)
+    assert _run_dir_files(out) == _run_dir_files(reference)
 
 
 def test_fresh_run_replaces_an_earlier_run_directory(
