@@ -2,7 +2,10 @@
 
 Subcommands: gen-roles, gen-dataset, validate, run, matrix, evaluate,
 export-human-eval, tally-human-eval. Exit codes: 0 on success with all
-requested outputs written, 1 on runtime failure, 2 on usage errors.
+requested outputs written, 1 on runtime failure, 2 on usage errors. The
+group option ``--log-level`` (default WARNING) sets the lowest level of log
+message written to stderr: WARNING shows unparseable memory updates, INFO
+adds each HTTP provider call's latency.
 
 Provider names: ``replay`` (dataset ground truth), ``memory-gated`` (the
 fixture's retrieval-sensitive script), ``scripted:<path>`` (JSON script
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import configparser
 import json
+import logging
 from pathlib import Path
 
 import click
@@ -126,8 +130,18 @@ def _parse_config(config_id: int | None, config_file: str | None) -> SimulationC
 
 @click.group()
 @click.version_option()
-def main() -> None:
+@click.option(
+    "--log-level",
+    type=click.Choice(["DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"], case_sensitive=False),
+    default="WARNING",
+    show_default=True,
+    help="Lowest level of log message written to stderr.",
+)
+def main(log_level: str) -> None:
     """Deterministic multi-agent school simulation toolkit."""
+    logging.basicConfig(
+        level=log_level.upper(), format="%(levelname)s %(name)s: %(message)s", force=True
+    )
 
 
 @main.command("gen-roles")

@@ -359,9 +359,9 @@ class MemoryStore:
     # id, kind, day, slot, salience, short, text; ``short`` is the insert's
     # ``mark_short``. Nothing else is written. Vectors are not: an embedding
     # is a pure function of the text and the embedder, so ``load`` embeds each
-    # text again. Short-term ids and ``now`` are not either: they are a pure
-    # function of the inserts in order, so ``load`` inserts every row again,
-    # eviction included.
+    # distinct text again. Short-term ids and ``now`` are not either: they
+    # are a pure function of the inserts in order, so ``load`` replays them
+    # over the rows, eviction included.
 
     def save(self, handle: BinaryIO, start: int = 0) -> int:
         """Write the records from id ``start`` on to the open binary
@@ -396,20 +396,83 @@ class MemoryStore:
         capacity: int = DEFAULT_SHORT_TERM_CAPACITY,
         decay: float = DEFAULT_SALIENCE_DECAY,
     ) -> "MemoryStore":
-        """A store rebuilt from the record ``rows`` written by :meth:`save`,
-        in id order. Each row goes through :meth:`insert` with its
-        ``mark_short``, which replays eviction, so embeddings, norms,
-        short-term ids and ``now`` are those of the store that saved them."""
+        """A store rebuilt in bulk, not by an insert per row, from the record
+        ``rows`` written by :meth:`save`, in id order.
+
+        Each row passes :meth:`insert`'s checks. Each distinct text is
+        embedded once and copied into the blocks a block at a time; norms
+        are one ``np.vecdot`` of each block with itself, the same ``ddot``
+        and IEEE root per row as :meth:`_append`. Short-term ids and ``now``
+        are replayed over the rows in order, eviction included. So every
+        bit is that of the store that saved them.
+        """
         store = cls(agent_id, config, embedder, capacity=capacity, decay=decay)
-        for row in rows:
-            created_at = SimTime.at(row["day"], Slot.from_label(row["slot"]))
-            record_id = store.insert(
-                MemoryKind(row["kind"]),
-                row["text"],
-                created_at,
-                salience=row["salience"],
-                mark_short=row["short"],
-            )
-            if record_id != row["id"]:
+        rows = list(rows)
+        n = len(rows)
+        if n and not config.memory_enabled:
+            raise MemoryDisabledError(f"{agent_id}: memory base is disabled")
+        # Kind value -> enabled kind, text -> embedding, (day, slot) -> time:
+        # each is worked out once per load.
+        enabled = {kind.value: kind for kind in MemoryKind if config.kind_enabled(kind)}
+        vectors: dict[str, np.ndarray] = {}
+        times: dict[tuple[int, str], SimTime] = {}
+        kinds = []
+        created = []
+        for record_id, row in enumerate(rows):
+            key = (row["day"], row["slot"])
+            created_at = times.get(key)
+            if created_at is None:
+                created_at = times[key] = SimTime.at(key[0], Slot.from_label(key[1]))
+            kind = enabled.get(row["kind"])
+            if kind is None:
+                raise KindDisabledError(
+                    f"{agent_id}: {MemoryKind(row['kind']).value} base is disabled "
+                    f"by config {config.id}"
+                )
+            text = row["text"]
+            if not text or not text.strip():
+                raise EmptyTextError("memory text must be non-empty")
+            if row["id"] != record_id:
                 raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
+            if text not in vectors:
+                vectors[text] = embedder.embed(text)
+            kinds.append(kind)
+            created.append(created_at)
+            store._ordinals.append(created_at.ordinal)
+            store._saliences.append(row["salience"])
+
+        embeddings: list[np.ndarray] = []
+        store._norms = np.empty(-(-n // BLOCK_ROWS) * BLOCK_ROWS)
+        for start in range(0, n, BLOCK_ROWS):
+            block = np.empty((BLOCK_ROWS, embedder.dim))
+            filled = block[: n - start]
+            stop = start + len(filled)
+            np.stack([vectors[row["text"]] for row in rows[start:stop]], out=filled)
+            np.sqrt(np.vecdot(filled, filled), out=store._norms[start:stop])
+            store._blocks.append(block)
+            # Rows of a read-only view: each record's embedding is read-only
+            # while the block stays writable for later inserts.
+            view = filled.view()
+            view.flags.writeable = False
+            embeddings.extend(view)
+
+        records = zip(rows, kinds, created, embeddings)
+        for record_id, (row, kind, created_at, embedding) in enumerate(records):
+            store._records.append(
+                MemoryRecord(
+                    id=record_id,
+                    kind=kind,
+                    text=row["text"],
+                    embedding=embedding,
+                    created_at=created_at,
+                    salience=row["salience"],
+                    mark_short=row["short"],
+                )
+            )
+            if store._ordinals[record_id] > store._now.ordinal:
+                store._now = created_at
+            if row["short"]:
+                store._short_term.append(record_id)
+                store.evict_short_term()
+        store._next_id = n
         return store

@@ -364,6 +364,12 @@ class Simulation:
             response = self.provider.complete(prompt, self.gen_params)
         except ProviderError as exc:
             raise self._with_context(exc, agent_id, step_index)
+        # A blank or missing answer cannot be a turn: abort the run as for any
+        # provider failure, so the last completed slot stays the resume point.
+        if not isinstance(response, str) or not response.strip():
+            raise self._with_context(
+                ProviderError(f"blank action answer: {response!r}"), agent_id, step_index
+            )
 
         # 4. Working memory holds the bare situation, matching transcripts.
         wm.append_turn(situation, response)
@@ -652,10 +658,9 @@ class Simulation:
         state = json.loads(lines[last])["commit"]
         journal_bytes = sum(len(line) + 1 for line in lines[: last + 1])
         rows: dict[str, list[dict]] = {agent_id: [] for agent_id in self.stores}
-        for line in lines[1:last]:
-            if not line.startswith(_COMMIT_PREFIX):
-                row = json.loads(line)
-                rows[row["agent"]].append(row)
+        records = [line for line in lines[1:last] if not line.startswith(_COMMIT_PREFIX)]
+        for row in _json_array(records):
+            rows[row["agent"]].append(row)
 
         log_path = out_path / LOG_FILENAME
         with open(log_path, "rb") as handle:
@@ -664,14 +669,30 @@ class Simulation:
             raise ValueError(
                 f"{log_path} holds {len(log_data)} bytes, fewer than {state['log_bytes']}"
             )
-        entries = [
-            _entry_from_dict(json.loads(line)) for line in log_data.split(b"\n")[1:-1]
-        ]
-        if len(entries) != state["completed_steps"]:
+        raw_entries = _json_array(log_data.split(b"\n")[1:-1])
+        if len(raw_entries) != state["completed_steps"]:
             raise ValueError(
-                f"{log_path} holds {len(entries)} committed entries, "
+                f"{log_path} holds {len(raw_entries)} committed entries, "
                 f"not {state['completed_steps']}"
             )
+        # The prompts share messages as the run's did: an agent's system
+        # message until its role changes, and each working-memory turn with
+        # every later prompt that shows it. Working memory ends as the window
+        # of each agent's latest logged turns.
+        working = {
+            agent_id: WorkingMemory(window=self.params.window)
+            for agent_id in self.working_memories
+        }
+        systems: dict[str, ChatMessage] = {}
+        entries = []
+        for raw in raw_entries:
+            agent_id = raw["agent_id"]
+            wm = working[agent_id]
+            prompt = _restored_prompt(raw["prompt"], systems.get(agent_id), wm.messages)
+            systems[agent_id] = prompt[0]
+            entry = _entry_from_dict(raw, prompt)
+            entries.append(entry)
+            wm.append_turn(entry.situation_text, entry.response)
         stores = {
             agent_id: MemoryStore.load(
                 agent_id,
@@ -697,28 +718,46 @@ class Simulation:
             self._journaled[agent_id] = store.long_term_size()
         for agent_id, text in state["roles"].items():
             self.roles[agent_id] = parse_role_text(text)
-            self.system_messages[agent_id] = system_message(self.roles[agent_id])
+            message = system_message(self.roles[agent_id])
+            if agent_id in systems and systems[agent_id].content == message.content:
+                message = systems[agent_id]
+            self.system_messages[agent_id] = message
         self.env.locations = state["locations"]
-        # Working memory is the window of each agent's latest logged turns.
-        for wm in self.working_memories.values():
-            wm.messages.clear()
-        for entry in entries:
-            self.working_memories[entry.agent_id].append_turn(
-                entry.situation_text, entry.response
-            )
+        self.working_memories.update(working)
 
 
 def _json_line(obj: dict) -> bytes:
     return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _entry_from_dict(raw: dict) -> InteractionLogEntry:
+def _json_array(lines: list[bytes]) -> list:
+    """The JSON values of ``lines``, parsed as one array."""
+    return json.loads(b"[" + b",".join(lines) + b"]")
+
+
+def _restored_prompt(
+    raw: list[dict], system: ChatMessage | None, turns: list[ChatMessage]
+) -> list[ChatMessage]:
+    """A logged prompt that reuses ``system`` and the working-memory ``turns``
+    where it shows them; messages it does not share are built anew."""
+    first, *middle, last = raw
+    if system is None or (system.role, system.content) != (first["role"], first["content"]):
+        system = ChatMessage(first["role"], first["content"])
+    if len(middle) != len(turns) or any(
+        turn.content != m["content"] or turn.role != m["role"]
+        for turn, m in zip(turns, middle)
+    ):
+        turns = [ChatMessage(m["role"], m["content"]) for m in middle]
+    return [system, *turns, ChatMessage(last["role"], last["content"])]
+
+
+def _entry_from_dict(raw: dict, prompt: list[ChatMessage]) -> InteractionLogEntry:
     return InteractionLogEntry(
         step_index=raw["step_index"],
         agent_id=raw["agent_id"],
         time=SimTime.at(raw["time"]["day"], Slot.from_label(raw["time"]["slot"])),
         situation_text=raw["situation"],
-        prompt=[ChatMessage(m["role"], m["content"]) for m in raw["prompt"]],
+        prompt=prompt,
         response=raw["response"],
         action_category=raw["action_category"],
         retrieved_count=raw["retrieved_count"],

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,20 @@ from schoolsim.prompts import ROLE_GENERATION_TEACHER
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture(autouse=True)
+def restore_root_logging():
+    """Every command configures the root logger to write to the runner's
+    stderr; put back the handlers and level the test started with."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    yield
+    for handler in root.handlers:
+        if handler not in handlers:
+            handler.close()
+    root.handlers[:] = handlers
+    root.setLevel(level)
 
 
 @pytest.fixture(scope="module")
@@ -520,3 +535,31 @@ def test_run_resume_with_another_script_argument_is_an_error(
     result = runner.invoke(main, args + ["--provider", scripts[1], "--resume"])
     assert result.exit_code == 1, result.output
     assert "cannot resume" in result.output and "different provider" in result.output
+
+
+@pytest.mark.parametrize("level, shown", [("WARNING", True), ("warning", True), ("ERROR", False)])
+def test_log_level_shows_or_hides_unparseable_updates(
+    runner, cli_fixture_dir, tmp_path, level, shown
+):
+    # One answer to every call: the memory updates it gives do not parse.
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"script": {}, "fallback": "I nod and carry on."}))
+    result = runner.invoke(
+        main,
+        [
+            "--log-level",
+            level,
+            "run",
+            "--dataset",
+            str(cli_fixture_dir),
+            "--config-id",
+            "1",
+            "--provider",
+            f"scripted:{script}",
+            "--out",
+            str(tmp_path / "run"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert ("memory update unparseable" in result.stderr) is shown
+    assert "memory update unparseable" not in result.stdout

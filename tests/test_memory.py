@@ -504,3 +504,87 @@ def test_eviction_equals_the_min_rule(inserts, capacity, decay):
     expected.append(len(inserts))
     _evict_reference(loaded, expected)
     assert loaded.short_term_ids == tuple(expected)
+
+
+def _replayed(config, embedder, rows, capacity, decay) -> MemoryStore:
+    """A store rebuilt by sending each saved row through ``insert``."""
+    store = MemoryStore("q", config, embedder, capacity=capacity, decay=decay)
+    for row in rows:
+        store.insert(
+            MemoryKind(row["kind"]),
+            row["text"],
+            SimTime.at(row["day"], Slot.from_label(row["slot"])),
+            salience=row["salience"],
+            mark_short=row["short"],
+        )
+    return store
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    config_id=st.integers(min_value=1, max_value=8),
+    size=st.one_of(
+        st.integers(0, 12),
+        st.integers(BLOCK_ROWS - 2, 2 * BLOCK_ROWS + 2),
+    ),
+    seed=st.integers(0, 2**16),
+    capacity=st.integers(0, 10),
+    decay=st.sampled_from([0.99, 0.5, 1.0]),
+    query=_PHRASE,
+)
+def test_load_equals_insert_replay_bit_for_bit(config_id, size, seed, capacity, decay, query):
+    # Half the rows are short-term and capacity is at most 10, so loading
+    # evicts; twelve words make texts repeat, so rows share embeddings.
+    saved = _filled_store(config_id, size, seed, capacity)
+    handle = io.BytesIO()
+    saved.save(handle)
+    rows = _rows(handle.getvalue())
+    config = saved.config
+    loaded = MemoryStore.load(
+        "q", config, HashedBagEmbedder(dim=32), rows, capacity=capacity, decay=decay
+    )
+    replayed = _replayed(config, HashedBagEmbedder(dim=32), rows, capacity, decay)
+    assert len(loaded.records) == len(replayed.records) == size
+    for a, b in zip(loaded.records, replayed.records):
+        assert (a.id, a.kind, a.text, a.created_at, a.salience, a.mark_short) == (
+            b.id, b.kind, b.text, b.created_at, b.salience, b.mark_short
+        )
+        assert a.embedding.tobytes() == b.embedding.tobytes()
+        assert not a.embedding.flags.writeable
+    assert loaded._norms[:size].tobytes() == replayed._norms[:size].tobytes()
+    assert loaded.short_term_ids == replayed.short_term_ids
+    assert loaded._now == replayed._now
+    policy = RetrievalPolicy(k_short=3, k_long=5, min_similarity=-1.0)
+    assert [(r.id, s) for r, s in loaded.retrieve(query, policy)] == [
+        (r.id, s) for r, s in replayed.retrieve(query, policy)
+    ]
+    # Both grow alike past the loaded rows.
+    kind = next(k for k in MemoryKind if config.kind_enabled(k))
+    for store in (loaded, replayed):
+        store.insert(kind, "word3 word5 late", SimTime(5, 9), mark_short=True)
+    assert loaded.short_term_ids == replayed.short_term_ids
+    assert [(r.id, s) for r, s in loaded.retrieve(query, policy)] == [
+        (r.id, s) for r, s in replayed.retrieve(query, policy)
+    ]
+
+
+def test_load_refuses_the_rows_insert_refuses(embedder):
+    store = make_store(embedder=embedder)
+    store.insert(MemoryKind.EXPERIENCE, "first event", T0)
+    store.insert(MemoryKind.KNOWLEDGE, "a known fact", T1, mark_short=True)
+    handle = io.BytesIO()
+    store.save(handle)
+    rows = _rows(handle.getvalue())
+    with pytest.raises(ValueError, match="out of order at id 1"):
+        MemoryStore.load("a01", store.config, embedder, rows[1:])
+    with pytest.raises(ValueError, match="out of order at id 1"):
+        MemoryStore.load("a01", store.config, embedder, rows[::-1])
+    with pytest.raises(KindDisabledError):  # config 6 disables the knowledge base
+        MemoryStore.load("a01", config_by_id(6), embedder, rows)
+    with pytest.raises(MemoryDisabledError):
+        MemoryStore.load("a01", config_by_id(9), embedder, rows)
+    assert MemoryStore.load("a01", config_by_id(9), embedder, []).records == ()
+    with pytest.raises(EmptyTextError):
+        MemoryStore.load("a01", store.config, embedder, [rows[0], {**rows[1], "text": " "}])
+    with pytest.raises(ValueError, match="'lore' is not a valid MemoryKind"):
+        MemoryStore.load("a01", store.config, embedder, [{**rows[0], "kind": "lore"}])

@@ -276,20 +276,97 @@ def reference_run(tmp_path, mini_dataset, mini_fixture):
     return out
 
 
-def test_resumed_run_directory_equals_uninterrupted(
-    tmp_path, mini_dataset, mini_fixture, reference_run
+def test_resumed_run_directory_equals_uninterrupted(tmp_path, mini_dataset, mini_fixture):
+    # Every config: the restored stores have a kind disabled, a unified
+    # base, no short/long-term split, or no memory at all.
+    for config in config_matrix():
+        reference = tmp_path / f"reference-{config.id}"
+        _run(mini_dataset, mini_fixture, config.id, seed=0, out_dir=reference)
+        out = tmp_path / f"resumed-{config.id}"
+        provider = _AbortAtAction(
+            MemoryGatedProvider.from_file(mini_fixture.script_path),
+            _final_slot_start(mini_dataset),
+        )
+        with pytest.raises(ProviderError):
+            _run(mini_dataset, mini_fixture, config.id, provider=provider, seed=0, out_dir=out)
+        _run(mini_dataset, mini_fixture, config.id, seed=0, out_dir=out, resume=True)
+        # Counters included: the manifest reads all of them off the log.
+        assert _manifest_without_clock(out) == _manifest_without_clock(reference), config.id
+        assert _run_dir_files(out) == _run_dir_files(reference), config.id
+
+
+class _AnswerAtAction(Provider):
+    """The memory-gated provider, answering ``answer`` at action call ``at``."""
+
+    def __init__(self, inner: Provider, at: int, answer):
+        self.inner = inner
+        self.name = inner.name
+        self.at = at
+        self.answer = answer
+        self.actions = 0
+
+    def complete(self, messages, params=None):
+        if not messages[-1].content.startswith((MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER)):
+            self.actions += 1
+            if self.actions == self.at:
+                return self.answer
+        return self.inner.complete(messages, params)
+
+
+@pytest.mark.parametrize("answer", ["  ", "", None], ids=["blank", "empty", "null"])
+def test_a_blank_action_answer_aborts_the_run_resumably(
+    tmp_path, mini_dataset, mini_fixture, reference_run, answer
 ):
-    out = tmp_path / "resumed"
-    provider = _AbortAtAction(
-        MemoryGatedProvider.from_file(mini_fixture.script_path),
-        _final_slot_start(mini_dataset),
+    # A null answer is what an HTTP reply with "content": null gives.
+    out = tmp_path / "run"
+    provider = _AnswerAtAction(
+        MemoryGatedProvider.from_file(mini_fixture.script_path), 7, answer
     )
-    with pytest.raises(ProviderError):
+    with pytest.raises(ProviderError, match=r"\[agent=\w+ step=6\] blank action answer"):
         _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["status"] == "aborted"
+    assert 0 < manifest["completed_steps"] <= 6
     _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
-    # Counters included: the manifest reads all of them off the log.
     assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
     assert _run_dir_files(out) == _run_dir_files(reference_run)
+
+
+def _distinct_messages(entries) -> int:
+    return len({id(message) for entry in entries for message in entry.prompt})
+
+
+@pytest.mark.parametrize("abort", ["final-slot", "day-two"])
+def test_a_resumed_log_shares_its_messages_as_an_uninterrupted_one(
+    tmp_path, mini_dataset, mini_fixture, abort
+):
+    # Every reflection changes the role, so system messages change too.
+    def provider():
+        return _TraitAtReflection(MemoryGatedProvider.from_file(mini_fixture.script_path))
+
+    reference = run_simulation(
+        mini_dataset, load_roles_dir(mini_fixture.roles_dir), provider(),
+        config_by_id(1), seed=0,
+    )
+    if abort == "final-slot":
+        abort_at = _final_slot_start(mini_dataset)
+    else:
+        abort_at = sum(1 for step in mini_dataset.steps if step.time.day == 1)
+    out = tmp_path / "run"
+    with pytest.raises(ProviderError):
+        _run(
+            mini_dataset, mini_fixture, 1, provider=_AbortAtAction(provider(), abort_at),
+            seed=0, out_dir=out,
+        )
+    resumed = _run(
+        mini_dataset, mini_fixture, 1, provider=provider(), seed=0, out_dir=out,
+        resume=True,
+    )
+    assert resumed.to_jsonl() == reference.to_jsonl()
+    assert _distinct_messages(resumed.entries) == _distinct_messages(reference.entries)
+    # Far fewer than one per message shown: prompts share turns and roles.
+    shown = sum(len(entry.prompt) for entry in reference.entries)
+    assert 3 * _distinct_messages(reference.entries) < shown
 
 
 _TRAIT = "Now checks in with the quiet students first."
