@@ -15,6 +15,10 @@ operations on a len(y)-bit int, which CPython stores in 30-bit digits, so
 the whole call costs O(len(x) * len(y) / 30) digit operations against
 O(len(x) * len(y)) for the textbook dynamic program. The result is the
 same exact integer.
+
+A token is any hashable item of a sequence, so a ``str`` is read as the
+sequence of its characters: the scorer passes a text whose tokens are all
+one character as one ``str``, and may pair it with a list of tokens.
 """
 
 from __future__ import annotations

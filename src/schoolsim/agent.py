@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .errors import EmptyTextError, RoleParseError
+from .errors import EmptyTextError, ProviderError, RoleParseError
 from .llm import ChatMessage, GenParams, Provider
 from .prompts import (
     ROLE_GENERATION_STUDENT,
@@ -245,7 +245,8 @@ def update_role_setting(
     A response containing the unchanged-marker phrase (case-insensitive)
     leaves the role untouched. Any other response is appended to the role's
     evolved traits in place; lines that try to rewrite identity fields
-    (name, gender, age) are stripped and logged as rejected.
+    (name, gender, age) are stripped and logged as rejected. A response that
+    is not a string, such as a missing one, raises ``ProviderError``.
     """
     if not reflection_summary.strip():
         raise EmptyTextError("reflection summary must be non-empty")
@@ -253,6 +254,8 @@ def update_role_setting(
         role_text=serialize_role(role), summary=reflection_summary
     )
     response = provider.complete([ChatMessage("user", prompt)], params)
+    if not isinstance(response, str):
+        raise ProviderError(f"non-string role-update answer: {response!r}")
     if ROLE_UNCHANGED_MARKER in response.lower():
         return False
     kept_lines = []

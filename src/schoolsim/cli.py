@@ -46,6 +46,8 @@ from .simulation import (
     run_simulation,
 )
 
+logger = logging.getLogger(__name__)
+
 AGENTS_SUBDIR = "agents"
 ROLES_SUBDIR = "roles"
 
@@ -218,11 +220,24 @@ def validate(dataset_path) -> None:
         click.echo(f"  (unlabeled: {stats.unlabeled})")
 
 
+def _threads_for(provider: Provider, jobs: int) -> int:
+    """``jobs``, or 1 with a warning for a provider that answers in-process:
+    extra threads only pay off while calls wait on an HTTP endpoint."""
+    if jobs > 1 and not isinstance(provider, HttpProvider):
+        logger.warning(
+            "--jobs %d ignored: provider %r answers in-process, so runs use one thread",
+            jobs,
+            provider.name,
+        )
+        return 1
+    return jobs
+
+
 def _run_one(
     dataset: Dataset,
     root: Path,
     config: SimulationConfig,
-    provider_factory,
+    provider: Provider,
     seed: int,
     out_dir: Path,
     jobs: int,
@@ -236,7 +251,7 @@ def _run_one(
     return run_simulation(
         dataset,
         roles,
-        provider_factory(),
+        provider,
         config,
         seed=seed,
         params=RunParams(),
@@ -275,14 +290,15 @@ def run_cmd(
     factory = _provider_factory(provider_name, dataset, root, providers_file)
     out_dir = Path(out)
     try:
+        provider = factory()
         log = _run_one(
             dataset,
             root,
             config,
-            factory,
+            provider,
             seed,
             out_dir,
-            jobs,
+            _threads_for(provider, jobs),
             Path(roles_dir) if roles_dir else None,
             resume,
         )
@@ -322,11 +338,14 @@ def matrix(
     for config in config_matrix():
         run_dir = out_dir / f"config-{config.id}"
         try:
+            provider = factory()
+            # Warns once: jobs is 1 from then on.
+            jobs = _threads_for(provider, jobs)
             log = _run_one(
                 dataset,
                 root,
                 config,
-                factory,
+                provider,
                 seed,
                 run_dir,
                 jobs,

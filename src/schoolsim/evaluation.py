@@ -2,11 +2,13 @@
 
 Tokenization: NFC-normalize, lowercase, split on whitespace, strip leading
 and trailing punctuation per token, and split runs of CJK characters into
-per-character tokens (the standard adaptation for Chinese text); one
-compiled regex does that last split. The LCS length comes from the
-bit-parallel kernel in ``_kernels``. Checkpoint scores are per-interval
-means, one column per 5% (or 10%) slice of the chronologically ordered
-steps.
+per-character tokens (the standard adaptation for Chinese text); every
+non-CJK run left in a chunk is one token. A text whose tokens are all one
+character, as most Chinese text is, is scored as the string of those
+characters rather than as a list of them. The LCS length comes from the
+bit-parallel kernel in ``_kernels``, which takes either form. Checkpoint
+scores are per-interval means, one column per 5% (or 10%) slice of the
+chronologically ordered steps.
 """
 
 from __future__ import annotations
@@ -35,7 +37,12 @@ DEFAULT_BETA = 1.0
 # One token per CJK ideograph (CJK Unified Ideographs, Extension A and the
 # Compatibility Ideographs); everything else between them is one token.
 _CJK = "\u3400-\u4dbf\u4e00-\u9fff\uf900-\ufaff"
-_TOKEN = re.compile(f"[{_CJK}]|[^{_CJK}]+")
+# Splitting a chunk on its non-CJK runs, kept by the group, gives parts that
+# alternate CJK run, non-CJK run, CJK run, ...; a CJK run may be empty.
+_NON_CJK_RUN = re.compile(f"([^{_CJK}]+)")
+# A chunk this matches holds no two adjacent non-CJK characters, so each of
+# its tokens is one character.
+_ONE_CHARACTER_TOKENS = re.compile(f"[{_CJK}]*(?:[^{_CJK}][{_CJK}]+)*[^{_CJK}]?")
 # The ASCII characters of a P* category. On ASCII text NFC changes nothing,
 # stripping them is str.strip, and a chunk holds no CJK, so it stays whole.
 _ASCII_PUNCTUATION = "".join(
@@ -57,18 +64,32 @@ def _strip_punctuation(token: str) -> str:
     return token[start:end]
 
 
-def tokenize(text: str) -> list[str]:
-    """Metric tokenizer; see the module docstring for the exact rule."""
+def _tokens(text: str) -> str | list[str]:
+    """The tokens of ``text`` under the module docstring's rule.
+
+    Non-ASCII text whose tokens are all one character gives them as one
+    ``str``; any other text gives a list.
+    """
     if text.isascii():
         chunks = (chunk.strip(_ASCII_PUNCTUATION) for chunk in text.lower().split())
         return [chunk for chunk in chunks if chunk]
     normalized = unicodedata.normalize("NFC", text).lower()
+    chunks = [chunk for chunk in map(_strip_punctuation, normalized.split()) if chunk]
+    if all(map(_ONE_CHARACTER_TOKENS.fullmatch, chunks)):
+        return "".join(chunks)
     tokens: list[str] = []
-    for chunk in normalized.split():
-        chunk = _strip_punctuation(chunk)
-        if chunk:
-            tokens.extend(_TOKEN.findall(chunk))
+    for chunk in chunks:
+        for index, part in enumerate(_NON_CJK_RUN.split(chunk)):
+            if index % 2:
+                tokens.append(part)
+            else:
+                tokens.extend(part)
     return tokens
+
+
+def tokenize(text: str) -> list[str]:
+    """Metric tokenizer; see the module docstring for the exact rule."""
+    return list(_tokens(text))
 
 
 def lcs_length(x: list[str], y: list[str]) -> int:
@@ -93,12 +114,12 @@ def _check_beta(beta: float) -> None:
 def rouge_l(candidate: str, reference: str, beta: float = DEFAULT_BETA) -> RougeScore:
     """LCS-based precision/recall/F of a candidate against a reference.
 
-    Convention for degenerate inputs: both token lists empty scores f=1.0;
-    exactly one empty scores f=0.0.
+    Convention for degenerate inputs: no tokens on either side scores
+    f=1.0; no tokens on exactly one side scores f=0.0.
     """
     _check_beta(beta)
-    cand = tokenize(candidate)
-    ref = tokenize(reference)
+    cand = _tokens(candidate)
+    ref = _tokens(reference)
     if not cand and not ref:
         return RougeScore(lcs_len=0, precision=1.0, recall=1.0, f=1.0, beta=beta)
     if not cand or not ref:

@@ -388,6 +388,14 @@ class Simulation:
                 )
             except ProviderError as exc:
                 raise self._with_context(exc, agent_id, step_index)
+            # A blank answer is an unparseable update; a missing one is a
+            # provider failure.
+            if not isinstance(update_text, str):
+                raise self._with_context(
+                    ProviderError(f"non-string memory-update answer: {update_text!r}"),
+                    agent_id,
+                    step_index,
+                )
             try:
                 update = parse_memory_update(update_text)
             except MemoryUpdateError as exc:

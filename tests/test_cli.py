@@ -8,10 +8,11 @@ import pytest
 from click.testing import CliRunner
 
 from schoolsim.agent import TEACHER_FIELDS, load_role
-from schoolsim.cli import main
+from schoolsim.cli import _threads_for, main
 from schoolsim.config import config_by_id
 from schoolsim.dataset import load_standard_group
 from schoolsim.fixtures import MemoryGatedProvider
+from schoolsim.llm import HttpProvider
 from schoolsim.simulation import run_simulation
 from schoolsim.prompts import ROLE_GENERATION_TEACHER
 
@@ -563,3 +564,79 @@ def test_log_level_shows_or_hides_unparseable_updates(
     assert result.exit_code == 0, result.output
     assert ("memory update unparseable" in result.stderr) is shown
     assert "memory update unparseable" not in result.stdout
+
+
+def _run_dir_without_clock(out: Path) -> dict:
+    files = {
+        str(path.relative_to(out)): path.read_bytes()
+        for path in sorted(out.rglob("*"))
+        if path.is_file() and path.name != "manifest.json"
+    }
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    del manifest["written_at"]
+    return {"files": files, "manifest": manifest}
+
+
+def _no_thread_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an offline provider run built a thread pool")
+
+    monkeypatch.setattr("schoolsim.simulation.ThreadPoolExecutor", refuse)
+
+
+def test_run_with_jobs_and_an_offline_provider_warns_and_uses_one_thread(
+    runner, cli_fixture_dir, tmp_path, monkeypatch
+):
+    _no_thread_pool(monkeypatch)
+    outputs = {}
+    for jobs in ("1", "4"):
+        out = tmp_path / f"jobs-{jobs}"
+        result = runner.invoke(
+            main,
+            [
+                "run",
+                "--dataset",
+                str(cli_fixture_dir),
+                "--config-id",
+                "1",
+                "--provider",
+                "memory-gated",
+                "--out",
+                str(out),
+                "--jobs",
+                jobs,
+            ],
+        )
+        assert result.exit_code == 0, result.output
+        outputs[jobs] = (result.stderr, _run_dir_without_clock(out))
+    assert "--jobs" not in outputs["1"][0]
+    assert outputs["4"][0].count("--jobs 4 ignored") == 1
+    assert outputs["4"][1] == outputs["1"][1]
+
+
+def test_matrix_with_jobs_and_an_offline_provider_warns_once(
+    runner, cli_fixture_dir, tmp_path, monkeypatch
+):
+    _no_thread_pool(monkeypatch)
+    result = runner.invoke(
+        main,
+        [
+            "matrix",
+            "--dataset",
+            str(cli_fixture_dir),
+            "--provider",
+            "memory-gated",
+            "--out",
+            str(tmp_path / "matrix"),
+            "--jobs",
+            "2",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.stderr.count("--jobs 2 ignored") == 1
+
+
+def test_jobs_stay_as_given_for_an_http_provider(caplog):
+    provider = HttpProvider(base_url="http://localhost:1/v1", model="m")
+    assert _threads_for(provider, 4) == 4
+    assert "ignored" not in caplog.text

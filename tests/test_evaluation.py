@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import load_roles_dir
 from schoolsim.config import config_by_id
+from schoolsim import _kernels
 from schoolsim.errors import LengthMismatchError
 from schoolsim.evaluation import (
+    RougeScore,
     _strip_punctuation,
+    _tokens,
     checkpoints,
     evaluate_run,
     export_human_eval_sample,
@@ -134,6 +137,70 @@ def test_tokenize_matches_the_slow_rule_on_ascii_text(text):
 def test_tokenize_non_ascii_text_matches_the_slow_rule():
     text = "«Bonjour», dit-il: 复习了 été… ok"
     assert tokenize(text) == _tokenize_slow(text)
+
+
+# Pieces of text around the tokenizer's edges: each CJK range's first and
+# last code point with their outside neighbours, full-width and ASCII
+# punctuation, Latin letters, digits, whitespace, decomposed pairs that NFC
+# composes, and characters whose NFC or lowercase form differs in length.
+_EDGE_PIECES = [
+    *"\u33ff\u3400\u3401\u4dbe\u4dbf\u4dc0\u4dff\u4e00\u4e01\u9ffe\u9fff\ua000",
+    *"\uf8ff\uf900\uf901\ufafe\ufaff\ufb00复习了分数",
+    *"。，、「」！？（）：；…—.,!?'\"()-_:;",
+    *"aZé09١ \t\n\u3000",
+    "e\u0301",
+    "A\u030a",
+    "\u0130",
+    "\u212a",
+]
+_edge_texts = st.lists(st.sampled_from(_EDGE_PIECES), max_size=30).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_edge_texts)
+def test_scoring_tokens_are_the_tokenizer_tokens(text):
+    tokens = _tokens(text)
+    assert list(tokens) == tokenize(text) == _tokenize_slow(text)
+    one_character = all(len(token) == 1 for token in tokenize(text))
+    assert isinstance(tokens, str) == (not text.isascii() and one_character)
+
+
+def _rouge_from_token_lists(candidate: str, reference: str, beta: float = 1.0) -> RougeScore:
+    """rouge_l's formula on the tokenize lists."""
+    cand, ref = tokenize(candidate), tokenize(reference)
+    if not cand and not ref:
+        return RougeScore(lcs_len=0, precision=1.0, recall=1.0, f=1.0, beta=beta)
+    if not cand or not ref:
+        return RougeScore(lcs_len=0, precision=0.0, recall=0.0, f=0.0, beta=beta)
+    lcs = _kernels.lcs_length(cand, ref)
+    precision, recall = lcs / len(cand), lcs / len(ref)
+    f = 0.0
+    if precision or recall:
+        f = (1 + beta**2) * precision * recall / (recall + beta**2 * precision)
+    return RougeScore(lcs_len=lcs, precision=precision, recall=recall, f=f, beta=beta)
+
+
+@pytest.mark.parametrize(
+    "candidate, reference, kinds",
+    [
+        ("复习了分数。", "「分数」复习", (str, str)),
+        ("复习了 fractions", "复习了分数", (list, str)),
+        ("复习了分数", "复习 the fractions", (str, list)),
+        ("we reviewed fractions", "fractions, reviewed", (list, list)),
+        # One-letter words are one-character tokens too.
+        ("复习了 a b", "a 复习", (str, str)),
+    ],
+)
+def test_rouge_matches_the_token_list_reference_on_each_form(candidate, reference, kinds):
+    assert (type(_tokens(candidate)), type(_tokens(reference))) == kinds
+    assert rouge_l(candidate, reference) == _rouge_from_token_lists(candidate, reference)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_texts, _edge_texts, st.sampled_from([0.5, 1.0, 2.0]))
+def test_rouge_matches_the_token_list_reference(candidate, reference, beta):
+    got = rouge_l(candidate, reference, beta=beta)
+    assert got == _rouge_from_token_lists(candidate, reference, beta=beta)
 
 
 def test_rouge_hand_value():

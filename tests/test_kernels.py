@@ -92,6 +92,18 @@ def test_lcs_matches_textbook_dp(alphabet, data):
     assert _kernels.lcs_length(x, y) == dp_lcs(x, y)
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_lcs_on_strings_matches_textbook_dp(data):
+    # A str is the sequence of its one-character tokens, and may be paired
+    # with a list of tokens of any length.
+    text = st.text(st.sampled_from("复习了分数ab,"), max_size=150)
+    x = data.draw(text, label="x")
+    y = data.draw(st.one_of(text, st.lists(st.sampled_from(["复", "习", "a", "ab"]))), label="y")
+    assert _kernels.lcs_length(x, y) == dp_lcs(list(x), list(y))
+    assert _kernels.lcs_length(y, x) == dp_lcs(list(y), list(x))
+
+
 def test_lcs_carry_across_digit_boundaries():
     run = ["a"] * 150
     assert _kernels.lcs_length(run, run) == 150

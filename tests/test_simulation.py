@@ -332,6 +332,58 @@ def test_a_blank_action_answer_aborts_the_run_resumably(
     assert _run_dir_files(out) == _run_dir_files(reference_run)
 
 
+class _AnswerAtUpdate(Provider):
+    """The memory-gated provider, answering ``answer`` at the ``at``-th call
+    whose prompt starts with ``header``."""
+
+    def __init__(self, inner: Provider, header: str, at: int, answer):
+        self.inner = inner
+        self.name = inner.name
+        self.header = header
+        self.at = at
+        self.answer = answer
+        self.calls = 0
+
+    def complete(self, messages, params=None):
+        if messages[-1].content.startswith(self.header):
+            self.calls += 1
+            if self.calls == self.at:
+                return self.answer
+        return self.inner.complete(messages, params)
+
+
+@pytest.mark.parametrize(
+    "header, kind",
+    [(MEMORY_UPDATE_HEADER, "memory-update"), (ROLE_UPDATE_HEADER, "role-update")],
+    ids=["memory-update", "role-update"],
+)
+@pytest.mark.parametrize("answer", [None, 0], ids=["null", "number"])
+def test_a_non_string_update_answer_aborts_the_run_resumably(
+    tmp_path, mini_dataset, mini_fixture, reference_run, header, kind, answer
+):
+    out = tmp_path / "run"
+    provider = _AnswerAtUpdate(
+        MemoryGatedProvider.from_file(mini_fixture.script_path), header, 7, answer
+    )
+    with pytest.raises(ProviderError, match=rf"\[agent=\w+ step=\d+\] non-string {kind} answer"):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    assert manifest["status"] == "aborted"
+    assert 0 < manifest["completed_steps"] < mini_dataset.qa_count
+    _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, resume=True)
+    assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
+    assert _run_dir_files(out) == _run_dir_files(reference_run)
+
+
+def test_a_blank_memory_update_answer_is_an_unparseable_update(mini_dataset, mini_fixture):
+    provider = _AnswerAtUpdate(
+        MemoryGatedProvider.from_file(mini_fixture.script_path), MEMORY_UPDATE_HEADER, 7, ""
+    )
+    log = _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0)
+    failed = [entry for entry in log.entries if entry.memory_update_failed]
+    assert [(entry.step_index, entry.memory_update_raw) for entry in failed] == [(6, "")]
+
+
 def _distinct_messages(entries) -> int:
     return len({id(message) for entry in entries for message in entry.prompt})
 
