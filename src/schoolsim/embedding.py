@@ -4,11 +4,13 @@ The reference embedder is a hashed bag-of-tokens: lowercase the text, split
 it into alphanumeric runs, hash each token with a seeded 64-bit hash into one
 of ``dim`` buckets with a sign taken from a second hash bit, then L2-normalize.
 It is a pure function of (text, dim, seed), which is what replayable retrieval
-tests need.
+tests need, so a process keeps one memoised embedder per (dim, seed) and every
+run in it shares that embedder's memo.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import re
@@ -72,6 +74,9 @@ class HashedBagEmbedder:
         self.seed = seed
         self._key = seed.to_bytes(8, "little", signed=True)
         self._codes: dict[str, int] = {}
+        # Text -> (its exact signed counts in the narrowest integer dtype
+        # that holds them, their float L2 root).
+        self._memo: dict[str, tuple[np.ndarray, float]] = {}
 
     def _token_code(self, token: str) -> int:
         """Hash a token to its signed code and memoise it: its bucket when its
@@ -87,6 +92,21 @@ class HashedBagEmbedder:
         return code
 
     def embed(self, text: str) -> np.ndarray:
+        """The unit vector of ``text``: its signed counts over their root.
+
+        Every call returns a new array. The counts are exact integers and
+        their conversion to float64 is exact, so a memo hit is the same IEEE
+        division as the miss that stored it, bit for bit. Worker threads
+        share one embedder; two that miss on the same text store equal
+        values, so the memo needs no lock.
+        """
+        hit = self._memo.get(text)
+        if hit is None:
+            hit = self._memo[text] = self._counts(text)
+        counts, root = hit
+        return counts / root
+
+    def _counts(self, text: str) -> tuple[np.ndarray, float]:
         if not text or not text.strip():
             raise EmptyTextError("cannot embed empty or whitespace-only text")
         tokens = split_tokens(text)
@@ -114,4 +134,29 @@ class HashedBagEmbedder:
             square = int(vec.dot(vec))
         # The integer square is exact, so its root is np.linalg.norm of the
         # float vector bit for bit, and so is the quotient.
-        return vec / math.sqrt(square)
+        return _narrowest(vec), math.sqrt(square)
+
+
+def _narrowest(vec: np.ndarray) -> np.ndarray:
+    """``vec`` in the narrowest signed integer dtype that holds its values."""
+    low, high = int(vec.min()), int(vec.max())
+    for dtype in (np.int8, np.int16, np.int32):
+        info = np.iinfo(dtype)
+        if info.min <= low and high <= info.max:
+            return vec.astype(dtype)
+    return vec
+
+
+@functools.cache
+def _shared_embedder(dim: int, seed: int) -> HashedBagEmbedder:
+    return HashedBagEmbedder(dim, seed)
+
+
+def shared_embedder(dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> HashedBagEmbedder:
+    """This process's one embedder for ``(dim, seed)``, so every run in the
+    process embeds each distinct text once.
+
+    The cached function is called positionally only, so ``shared_embedder()``
+    and ``shared_embedder(256, 0)`` return the same instance.
+    """
+    return _shared_embedder(dim, seed)

@@ -358,10 +358,11 @@ class MemoryStore:
     # Persistence. ``save`` writes one JSON line per record, key order agent,
     # id, kind, day, slot, salience, short, text; ``short`` is the insert's
     # ``mark_short``. Nothing else is written. Vectors are not: an embedding
-    # is a pure function of the text and the embedder, so ``load`` embeds each
-    # distinct text again. Short-term ids and ``now`` are not either: they
-    # are a pure function of the inserts in order, so ``load`` replays them
-    # over the rows, eviction included.
+    # is a pure function of the text and the embedder, so ``load`` embeds the
+    # texts again (the embedder's memo embeds each distinct text once).
+    # Short-term ids and ``now`` are not either: they are a pure function of
+    # the inserts in order, so ``load`` replays them over the rows, eviction
+    # included.
 
     def save(self, handle: BinaryIO, start: int = 0) -> int:
         """Write the records from id ``start`` on to the open binary
@@ -399,22 +400,21 @@ class MemoryStore:
         """A store rebuilt in bulk, not by an insert per row, from the record
         ``rows`` written by :meth:`save`, in id order.
 
-        Each row passes :meth:`insert`'s checks. Each distinct text is
-        embedded once and copied into the blocks a block at a time; norms
-        are one ``np.vecdot`` of each block with itself, the same ``ddot``
-        and IEEE root per row as :meth:`_append`. Short-term ids and ``now``
-        are replayed over the rows in order, eviction included. So every
-        bit is that of the store that saved them.
+        Each row passes :meth:`insert`'s checks. Embeddings are copied into
+        the blocks a block at a time; norms are one ``np.vecdot`` of each
+        block with itself, the same ``ddot`` and IEEE root per row as
+        :meth:`_append`. Short-term ids and ``now`` are replayed over the
+        rows in order, eviction included. So every bit is that of the store
+        that saved them.
         """
         store = cls(agent_id, config, embedder, capacity=capacity, decay=decay)
         rows = list(rows)
         n = len(rows)
         if n and not config.memory_enabled:
             raise MemoryDisabledError(f"{agent_id}: memory base is disabled")
-        # Kind value -> enabled kind, text -> embedding, (day, slot) -> time:
-        # each is worked out once per load.
+        # Kind value -> enabled kind and (day, slot) -> time: each is worked
+        # out once per load.
         enabled = {kind.value: kind for kind in MemoryKind if config.kind_enabled(kind)}
-        vectors: dict[str, np.ndarray] = {}
         times: dict[tuple[int, str], SimTime] = {}
         kinds = []
         created = []
@@ -434,8 +434,6 @@ class MemoryStore:
                 raise EmptyTextError("memory text must be non-empty")
             if row["id"] != record_id:
                 raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
-            if text not in vectors:
-                vectors[text] = embedder.embed(text)
             kinds.append(kind)
             created.append(created_at)
             store._ordinals.append(created_at.ordinal)
@@ -447,7 +445,7 @@ class MemoryStore:
             block = np.empty((BLOCK_ROWS, embedder.dim))
             filled = block[: n - start]
             stop = start + len(filled)
-            np.stack([vectors[row["text"]] for row in rows[start:stop]], out=filled)
+            np.stack([embedder.embed(row["text"]) for row in rows[start:stop]], out=filled)
             np.sqrt(np.vecdot(filled, filled), out=store._norms[start:stop])
             store._blocks.append(block)
             # Rows of a read-only view: each record's embedding is read-only

@@ -36,7 +36,7 @@ from .agent import (
 )
 from .config import SimulationConfig
 from .dataset import Dataset, parse_action_footer
-from .embedding import DEFAULT_DIM, DEFAULT_SEED, HashedBagEmbedder
+from .embedding import DEFAULT_DIM, DEFAULT_SEED, shared_embedder
 from .environment import AreaMap, EnvironmentState, SimTime, Slot, classify_action
 from .errors import (
     MemoryUpdateError,
@@ -66,6 +66,8 @@ JOURNAL_FILENAME = "journal.jsonl"
 CHECKPOINT_FORMAT = "checkpoint-v4"
 # Commit lines are the only journal lines that start with this.
 _COMMIT_PREFIX = b'{"commit": '
+# Stateless, so one decoder serves every parse and every thread.
+_JSON_DECODER = json.JSONDecoder()
 
 
 def parse_memory_update(text: str) -> MemoryUpdate:
@@ -74,12 +76,11 @@ def parse_memory_update(text: str) -> MemoryUpdate:
     The object must carry all four list-of-string fields; anything else
     raises a specific error so callers can degrade to an empty update.
     """
-    decoder = json.JSONDecoder()
     obj = None
     index = text.find("{")
     while index != -1:
         try:
-            candidate, _end = decoder.raw_decode(text, index)
+            candidate, _end = _JSON_DECODER.raw_decode(text, index)
         except json.JSONDecodeError:
             index = text.find("{", index + 1)
             continue
@@ -240,9 +241,7 @@ class Simulation:
             k_long=self.params.k_long,
             min_similarity=self.params.min_similarity,
         )
-        self.embedder = HashedBagEmbedder(
-            dim=self.params.embed_dim, seed=self.params.embed_seed
-        )
+        self.embedder = shared_embedder(self.params.embed_dim, self.params.embed_seed)
         self.stores = {
             agent_id: MemoryStore(
                 agent_id,

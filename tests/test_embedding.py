@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoolsim.embedding import HashedBagEmbedder, cosine, split_tokens
+from schoolsim.embedding import HashedBagEmbedder, cosine, shared_embedder, split_tokens
 from schoolsim.errors import DimensionMismatchError, EmptyTextError, ZeroVectorError
 
 
@@ -183,6 +183,59 @@ def test_cancelling_signs_fall_back_to_the_unsigned_bag(dim, seed):
     vec = embedder.embed(text)
     assert vec.tobytes() == reference_embed(dim, seed, text).tobytes()
     assert sorted(vec[vec != 0] ** 2 * 20) == pytest.approx([4.0, 16.0])
+
+
+def _memo_texts(dim: int, seed: int) -> st.SearchStrategy[str]:
+    return st.one_of(
+        st.text(st.characters(max_codepoint=127), min_size=1),
+        st.text(min_size=1),
+        # Separators only: hashed whole.
+        st.text(st.sampled_from(" _!?.-\t\u2026\u2014"), min_size=1),
+        st.just(_cancelling_text(dim, seed)),
+        # One bucket's count is past int8's range.
+        st.tuples(_WORDS, st.integers(128, 400)).map(lambda wn: " ".join([wn[0]] * wn[1])),
+    ).filter(str.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from([(4, 0), (32, 1), (256, 0), (256, -2)]).flatmap(
+        lambda ds: st.tuples(st.just(ds), _memo_texts(*ds))
+    )
+)
+def test_a_memo_hit_equals_a_fresh_miss_and_the_reference(case):
+    (dim, seed), text = case
+    expected = reference_embed(dim, seed, text).tobytes()
+    embedder = HashedBagEmbedder(dim=dim, seed=seed)
+    miss = embedder.embed(text)
+    assert text in embedder._memo
+    # A caller that writes into its vector must not reach the memo.
+    miss[:] = 7.0
+    hit = embedder.embed(text)
+    hit[0] = -1.0
+    assert embedder.embed(text).tobytes() == expected
+    assert HashedBagEmbedder(dim=dim, seed=seed).embed(text).tobytes() == expected
+
+
+def test_the_memo_keeps_counts_in_the_narrowest_integer_dtype():
+    embedder = HashedBagEmbedder(dim=32)
+    for count, dtype in [(1, np.int8), (127, np.int8), (128, np.int16), (40000, np.int32)]:
+        text = " ".join(["alpha"] * count)
+        embedder.embed(text)
+        counts, root = embedder._memo[text]
+        assert counts.dtype == dtype
+        assert sorted(np.abs(counts).tolist())[-2:] == [0, count]
+        assert root == float(count)
+
+
+def test_shared_embedder_is_one_instance_per_dim_and_seed():
+    default = shared_embedder()
+    assert shared_embedder(256, 0) is default
+    assert shared_embedder(dim=256, seed=0) is default
+    assert shared_embedder(64) is shared_embedder(64, 0) is not default
+    assert shared_embedder(seed=1) is not default
+    with pytest.raises(ValueError):
+        shared_embedder(0)
 
 
 def test_embedders_with_other_seeds_or_dims_share_no_cache():

@@ -938,6 +938,45 @@ def test_matrix_log_digests_are_pinned(tmp_path):
     assert digests == MATRIX_DIGESTS
 
 
+def test_matrix_digests_hold_in_any_order_beside_other_embedders(tmp_path):
+    # Every run in a process shares one embedder per (embed_dim, embed_seed)
+    # and its memo; neither the order of the runs nor a run with another
+    # embedder between them may change a digest.
+    paths = build_fixture(tmp_path, teachers=2, students=4, days=5, seed=0)
+    dataset = load_fixture_dataset(paths.root)
+
+    def digest(cfg, params=None):
+        return run_simulation(
+            dataset,
+            load_roles_dir(paths.roles_dir),
+            MemoryGatedProvider.from_file(paths.script_path),
+            cfg,
+            seed=0,
+            params=params,
+        ).digest()
+
+    other = RunParams(embed_dim=64, embed_seed=3)
+    first = digest(config_by_id(1), other)
+    assert first != MATRIX_DIGESTS[1]
+    assert {cfg.id: digest(cfg) for cfg in reversed(config_matrix())} == MATRIX_DIGESTS
+    assert digest(config_by_id(1), other) == first
+
+
+def test_simulations_share_one_embedder_per_dim_and_seed(mini_dataset, mini_roles):
+    def embedder(params):
+        return Simulation(
+            mini_dataset, mini_roles, ScriptedProvider({}), config_by_id(1), params=params
+        ).embedder
+
+    default = embedder(RunParams())
+    assert embedder(RunParams(embed_dim=256, embed_seed=0)) is default
+    assert embedder(None) is default
+    small = embedder(RunParams(embed_dim=64))
+    assert embedder(RunParams(embed_dim=64)) is small
+    assert small is not default
+    assert embedder(RunParams(embed_seed=1)) not in (default, small)
+
+
 def test_standard_group_log_digests_are_pinned(ablation_runs):
     # Seed 0 on the standard group (10 teachers, 40 students, 5 days).
     runs, _elapsed = ablation_runs
