@@ -6,7 +6,11 @@ per-character tokens (the standard adaptation for Chinese text); every
 non-CJK run left in a chunk is one token. A text whose tokens are all one
 character, as most Chinese text is, is scored as the string of those
 characters rather than as a list of them. The LCS length comes from the
-bit-parallel kernel in ``_kernels``, which takes either form. Checkpoint
+bit-parallel kernel in ``_kernels``, which takes either form:
+``score_responses`` tokenises all its pairs and passes them to
+``_kernels.lcs_lengths`` in one call, which runs the pairs of two strings
+together in one bit-vector per chunk, and ``rouge_l`` scores one pair with
+``_kernels.lcs_length``. Both compute F with ``_f_measure``. Checkpoint
 scores are per-interval means, one column per 5% (or 10%) slice of the
 chronologically ordered steps.
 """
@@ -20,6 +24,7 @@ import math
 import random
 import re
 import unicodedata
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -73,7 +78,13 @@ def _tokens(text: str) -> str | list[str]:
     if text.isascii():
         chunks = (chunk.strip(_ASCII_PUNCTUATION) for chunk in text.lower().split())
         return [chunk for chunk in chunks if chunk]
-    normalized = unicodedata.normalize("NFC", text).lower()
+    normalized = unicodedata.normalize("NFC", text)
+    lowered = normalized.lower()
+    # Keep the unlowered object when lowering changes nothing: a text that is
+    # already one string of its tokens then comes back as itself, and
+    # score_responses holds its tokens without a copy.
+    if lowered != normalized:
+        normalized = lowered
     chunks = [chunk for chunk in map(_strip_punctuation, normalized.split()) if chunk]
     if all(map(_ONE_CHARACTER_TOKENS.fullmatch, chunks)):
         return "".join(chunks)
@@ -92,8 +103,13 @@ def tokenize(text: str) -> list[str]:
     return list(_tokens(text))
 
 
-def lcs_length(x: list[str], y: list[str]) -> int:
-    """Longest common subsequence length of two token sequences."""
+def lcs_length(x: str | Sequence[str], y: str | Sequence[str]) -> int:
+    """Longest common subsequence length of two token sequences.
+
+    Each side is a list of tokens or a ``str``, which is read as the
+    sequence of its characters, the form ``_tokens`` gives for text whose
+    tokens are all one character.
+    """
     return _kernels.lcs_length(x, y)
 
 
@@ -111,26 +127,35 @@ def _check_beta(beta: float) -> None:
         raise ValueError(f"beta must be finite and positive, got {beta!r}")
 
 
+def _f_measure(lcs: int, n_cand: int, n_ref: int, beta: float) -> tuple[float, float, float]:
+    """(precision, recall, F) of an LCS between ``n_cand`` and ``n_ref`` tokens.
+
+    Convention for degenerate inputs: no tokens on either side scores
+    1.0; no tokens on exactly one side scores 0.0.
+    """
+    if not n_cand and not n_ref:
+        return 1.0, 1.0, 1.0
+    if not n_cand or not n_ref:
+        return 0.0, 0.0, 0.0
+    precision = lcs / n_cand
+    recall = lcs / n_ref
+    if precision == 0.0 and recall == 0.0:
+        return precision, recall, 0.0
+    f = (1 + beta**2) * precision * recall / (recall + beta**2 * precision)
+    return precision, recall, f
+
+
 def rouge_l(candidate: str, reference: str, beta: float = DEFAULT_BETA) -> RougeScore:
     """LCS-based precision/recall/F of a candidate against a reference.
 
-    Convention for degenerate inputs: no tokens on either side scores
+    Degenerate inputs follow ``_f_measure``: no tokens on either side scores
     f=1.0; no tokens on exactly one side scores f=0.0.
     """
     _check_beta(beta)
     cand = _tokens(candidate)
     ref = _tokens(reference)
-    if not cand and not ref:
-        return RougeScore(lcs_len=0, precision=1.0, recall=1.0, f=1.0, beta=beta)
-    if not cand or not ref:
-        return RougeScore(lcs_len=0, precision=0.0, recall=0.0, f=0.0, beta=beta)
     lcs = _kernels.lcs_length(cand, ref)
-    precision = lcs / len(cand)
-    recall = lcs / len(ref)
-    if precision == 0.0 and recall == 0.0:
-        f = 0.0
-    else:
-        f = (1 + beta**2) * precision * recall / (recall + beta**2 * precision)
+    precision, recall, f = _f_measure(lcs, len(cand), len(ref), beta)
     return RougeScore(lcs_len=lcs, precision=precision, recall=recall, f=f, beta=beta)
 
 
@@ -182,9 +207,20 @@ def score_responses(
             f"{len(responses)} responses vs {len(references)} references"
         )
     _check_beta(beta)
+    # lcs_lengths reads the pairs once, scoring each pair of token lists as
+    # it comes, so a generator lets those lists go at once; F needs only
+    # the token counts.
+    sizes: list[tuple[int, int]] = []
+
+    def pairs() -> Iterator[tuple[str | list[str], str | list[str]]]:
+        for response, reference in zip(responses, references):
+            cand, ref = _tokens(response), _tokens(reference)
+            sizes.append((len(cand), len(ref)))
+            yield cand, ref
+
     scores = [
-        rouge_l(response, reference, beta=beta).f
-        for response, reference in zip(responses, references)
+        _f_measure(lcs, n_cand, n_ref, beta)[2]
+        for lcs, (n_cand, n_ref) in zip(_kernels.lcs_lengths(pairs()), sizes)
     ]
     ranges = checkpoints(len(scores), interval_percent)
     mean_f = []

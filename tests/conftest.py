@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from schoolsim.agent import load_role
 from schoolsim.config import config_by_id
@@ -15,6 +16,11 @@ from schoolsim.fixtures import (
     load_fixture_dataset,
 )
 from schoolsim.simulation import run_simulation
+
+# CI runs the property tests with ``--hypothesis-profile=ci``: the same
+# examples on every run, and five times the default count for tests that do
+# not set their own. Local runs keep the default profile.
+settings.register_profile("ci", derandomize=True, max_examples=500, deadline=None)
 
 
 def load_roles_dir(roles_dir: Path) -> dict:

@@ -16,6 +16,7 @@ from schoolsim.config import config_by_id
 from schoolsim import _kernels
 from schoolsim.errors import LengthMismatchError
 from schoolsim.evaluation import (
+    CheckpointReport,
     RougeScore,
     _strip_punctuation,
     _tokens,
@@ -201,6 +202,44 @@ def test_rouge_matches_the_token_list_reference_on_each_form(candidate, referenc
 def test_rouge_matches_the_token_list_reference(candidate, reference, beta):
     got = rouge_l(candidate, reference, beta=beta)
     assert got == _rouge_from_token_lists(candidate, reference, beta=beta)
+
+
+def _report_from_rouge_loop(responses, references, config_id, beta):
+    """score_responses's report built from one rouge_l call per pair."""
+    scores = [rouge_l(c, r, beta=beta).f for c, r in zip(responses, references)]
+    mean_f, counts = [], []
+    for window in checkpoints(len(scores)):
+        part = scores[window.start : window.stop]
+        counts.append(len(part))
+        mean_f.append(sum(part) / len(part) if part else 0.0)
+    return CheckpointReport(
+        config_id=config_id,
+        interval_percent=5,
+        percents=[5 * (j + 1) for j in range(20)],
+        mean_f=mean_f,
+        counts=counts,
+        beta=beta,
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(["chinese", "ascii", "mixed"]),
+    st.sampled_from([1.0, 2.0]),
+    st.data(),
+)
+def test_score_responses_equals_a_rouge_l_loop(kind, beta, data):
+    pieces = {
+        "chinese": [*"复习了分数我们今天。，！", "\U00020000"],
+        "ascii": ["we ", "reviewed ", "fractions", ", ", "a ", "b"],
+        "mixed": _EDGE_PIECES,
+    }[kind]
+    text = st.lists(st.sampled_from(pieces), max_size=60).map("".join)
+    n = data.draw(st.integers(1, 45), label="pairs")
+    responses = data.draw(st.lists(text, min_size=n, max_size=n), label="responses")
+    references = data.draw(st.lists(text, min_size=n, max_size=n), label="references")
+    got = score_responses(responses, references, config_id=4, beta=beta)
+    assert got == _report_from_rouge_loop(responses, references, 4, beta)
 
 
 def test_rouge_hand_value():

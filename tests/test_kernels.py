@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +110,80 @@ def test_lcs_carry_across_digit_boundaries():
     assert _kernels.lcs_length(run, run) == 150
     assert _kernels.lcs_length(run + ["b"], ["b"] + run) == 150
     assert _kernels.lcs_length(["a", "b"] * 100, ["b", "a"] * 100) == 199
+
+
+# Characters for the batched kernel: CJK, ASCII, full-width punctuation,
+# U+0000, a lone surrogate and astral characters (above U+FFFF).
+_BATCH_ALPHABET = "复习了分数ab。\0\ud800\U0001F600\U00020000\U0010FFFF"
+# Segment edges (7 real bits and a spare fill one byte) and 64-bit edges.
+_EDGE_LENGTHS = [0, 1, 7, 8, 9, 15, 16, 17, 63, 64, 65]
+
+
+@st.composite
+def _batches(draw):
+    def text(n):
+        return draw(st.text(st.sampled_from(_BATCH_ALPHABET), min_size=n, max_size=n))
+
+    def length():
+        return draw(st.one_of(st.sampled_from(_EDGE_LENGTHS), st.integers(0, 90)))
+
+    pairs = []
+    for _ in range(draw(st.integers(0, 24))):
+        x, y = text(length()), text(length())
+        kind = draw(st.sampled_from(["str/str", "str/str", "str/list", "list/str", "list/list"]))
+        if kind in ("list/str", "list/list"):
+            x = list(x)
+        if kind in ("str/list", "list/list"):
+            y = list(y)
+        pairs.append((x, y))
+    if pairs and draw(st.booleans()):
+        pairs.append(pairs[draw(st.integers(0, len(pairs) - 1))])
+    return pairs
+
+
+@settings(deadline=None)
+@given(_batches(), st.sampled_from([1, 2, 8, 9, 24, 2048]))
+def test_lcs_lengths_matches_textbook_dp_pair_by_pair(pairs, chunk_bytes):
+    # Small chunk budgets put chunk edges between the drawn pairs: one pair
+    # wider than the budget, a chunk filled exactly, one pair past it.
+    with mock.patch.object(_kernels, "_CHUNK_BYTES", chunk_bytes):
+        got = _kernels.lcs_lengths(pairs)
+    assert got == [dp_lcs(list(x), list(y)) for x, y in pairs]
+
+
+@pytest.mark.parametrize("count", [255, 256, 257])
+def test_lcs_lengths_at_the_default_chunk_edge(count):
+    # A y of 63 characters takes an 8-byte segment, so 256 such pairs fill
+    # one default chunk and the 257th starts another.
+    rng = random.Random(count)
+    pairs = [
+        ("".join(rng.choices("复习了分数ab", k=rng.randint(63, 70))),
+         "".join(rng.choices("复习了分数ab", k=63)))
+        for _ in range(count)
+    ]
+    assert _kernels.lcs_lengths(pairs) == [_kernels.lcs_length(x, y) for x, y in pairs]
+
+
+def test_lcs_lengths_of_a_pair_wider_than_a_chunk():
+    rng = random.Random(5)
+    long = "".join(rng.choices("复习了分数", k=8 * _kernels._CHUNK_BYTES + 3))
+    pairs = [(long, long[::-1]), ("复习", "习复"), (long[1:], long)]
+    assert _kernels.lcs_lengths(pairs) == [_kernels.lcs_length(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("length", [7, 8, 16, 64])
+def test_lcs_lengths_keeps_a_carry_out_of_its_segment(length):
+    # Matching the last character of y carries out of its top bit; with y a
+    # whole number of bytes long, only the spare bit keeps that carry from
+    # the next pair's segment.
+    text = "".join("复习了分数ab"[i % 7] for i in range(length))
+    pairs = [(text, text), (text + "了", text), (text, text[::-1]), (text, text)]
+    assert _kernels.lcs_lengths(pairs) == [_kernels.lcs_length(x, y) for x, y in pairs]
+
+
+def test_lcs_lengths_reads_a_generator_once():
+    pairs = [("复习了", "习了"), (["a", "b"], ["b"]), ("", "a")]
+    assert _kernels.lcs_lengths(iter(pairs)) == [2, 1, 0]
 
 
 def test_active_backend_is_pure():
