@@ -17,7 +17,6 @@ from .simulation import (
     InteractionLog,
     InteractionLogEntry,
     ReplayBundle,
-    RunParams,
     Simulation,
     parse_memory_update,
     run_simulation,
@@ -40,7 +39,6 @@ __all__ = [
     "ReplayProvider",
     "RetrievalPolicy",
     "RougeScore",
-    "RunParams",
     "ScriptedProvider",
     "Simulation",
     "SimulationConfig",

@@ -41,7 +41,6 @@ from .simulation import (
     LOG_FILENAME,
     MANIFEST_FILENAME,
     ReplayBundle,
-    RunParams,
     load_log,
     run_simulation,
 )
@@ -60,7 +59,10 @@ def _resolve_dataset_dir(path: Path) -> Path:
 
 def _load_dataset(path: str) -> tuple[Dataset, Path]:
     root = Path(path)
-    dataset = load_standard_group(_resolve_dataset_dir(root))
+    try:
+        dataset = load_standard_group(_resolve_dataset_dir(root))
+    except SchoolSimError as exc:
+        raise click.ClickException(str(exc))
     return dataset, root
 
 
@@ -203,10 +205,7 @@ def gen_dataset(out, teachers, students, days, seed) -> None:
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
 def validate(dataset_path) -> None:
     """Validate a dataset directory and print its summary."""
-    try:
-        dataset, _root = _load_dataset(dataset_path)
-    except SchoolSimError as exc:
-        raise click.ClickException(str(exc))
+    dataset, _root = _load_dataset(dataset_path)
     stats = summarize(dataset)
     click.echo(f"agents: {len(dataset.agent_ids)}")
     for kind, count in sorted(stats.agent_counts.items(), key=lambda kv: kv[0].value):
@@ -254,7 +253,6 @@ def _run_one(
         provider,
         config,
         seed=seed,
-        params=RunParams(),
         out_dir=out_dir,
         jobs=jobs,
         resume=resume,

@@ -2,16 +2,13 @@
 
 Nine baseline configurations toggle the experience base (EB), the knowledge
 base (KB), the base structure (dual / unified / none), and the short-term /
-long-term hierarchy. The shipped matrix is also available as a CSV fixture in
-``schoolsim/data/baseline_configs.csv`` for field-by-field comparison.
+long-term hierarchy.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 
@@ -81,14 +78,6 @@ def config_by_id(config_id: int) -> SimulationConfig:
             return SimulationConfig(*row)
     valid = ", ".join(str(row[0]) for row in _MATRIX)
     raise ValueError(f"unknown config id {config_id}; valid ids: {valid}")
-
-
-def load_matrix_fixture() -> list[dict[str, str]]:
-    """The shipped CSV description of the matrix, as raw rows."""
-    with resources.files("schoolsim.data").joinpath("baseline_configs.csv").open(
-        "r", encoding="utf-8"
-    ) as fh:
-        return list(csv.DictReader(fh))
 
 
 def load_config_file(path: str | Path) -> SimulationConfig:

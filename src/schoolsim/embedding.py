@@ -4,8 +4,8 @@ The reference embedder is a hashed bag-of-tokens: lowercase the text, split
 it into alphanumeric runs, hash each token with a seeded 64-bit hash into one
 of ``dim`` buckets with a sign taken from a second hash bit, then L2-normalize.
 It is a pure function of (text, dim, seed), which is what replayable retrieval
-tests need, so a process keeps one memoised embedder per (dim, seed) and every
-run in it shares that embedder's memo.
+tests need. Every run uses the default dim and seed, so a process keeps one
+memoised embedder and every run in it shares that embedder's memo.
 """
 
 from __future__ import annotations
@@ -148,15 +148,7 @@ def _narrowest(vec: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _shared_embedder(dim: int, seed: int) -> HashedBagEmbedder:
-    return HashedBagEmbedder(dim, seed)
-
-
-def shared_embedder(dim: int = DEFAULT_DIM, seed: int = DEFAULT_SEED) -> HashedBagEmbedder:
-    """This process's one embedder for ``(dim, seed)``, so every run in the
-    process embeds each distinct text once.
-
-    The cached function is called positionally only, so ``shared_embedder()``
-    and ``shared_embedder(256, 0)`` return the same instance.
-    """
-    return _shared_embedder(dim, seed)
+def shared_embedder() -> HashedBagEmbedder:
+    """This process's one embedder, so every run in the process embeds each
+    distinct text once."""
+    return HashedBagEmbedder()

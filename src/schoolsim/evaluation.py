@@ -377,6 +377,8 @@ def recover_tallies(key: dict, votes: dict[str, int]) -> dict[int, int]:
         if block_id not in key["blocks"]:
             raise KeyError(f"vote for unknown block: {block_id}")
         order = key["blocks"][block_id]
+        if isinstance(position, bool) or not isinstance(position, int):
+            raise ValueError(f"{block_id}: vote position {position!r} is not an integer")
         if not 0 <= position < len(order):
             raise ValueError(f"{block_id}: vote position {position} out of range")
         tallies[int(order[position])] += 1

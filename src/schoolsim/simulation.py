@@ -9,7 +9,9 @@ day's log into a role-setting update.
 
 The dataset drives the run chronologically; slots are barriers, so interaction
 text always reflects completed prior slots. With scripted providers the whole
-run is a pure function of (dataset, roles, config, seed).
+run is a pure function of (dataset, roles, config, provider, seed): every
+other value is fixed, the default of the component that uses it, and
+``RUN_PARAMS`` records those values in the log, manifest and journal.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .agent import (
+    DEFAULT_WINDOW,
     RoleSetting,
     WorkingMemory,
     assemble_prompt,
@@ -175,34 +178,22 @@ def load_log(path: str | Path) -> tuple[dict, list[dict]]:
     return head["meta"], entries
 
 
-@dataclass
-class RunParams:
-    """Knobs recorded in every run manifest."""
-
-    embed_dim: int = DEFAULT_DIM
-    embed_seed: int = DEFAULT_SEED
-    k_short: int = 4
-    k_long: int = 8
-    min_similarity: float = 0.0
-    short_term_capacity: int = DEFAULT_SHORT_TERM_CAPACITY
-    salience_decay: float = DEFAULT_SALIENCE_DECAY
-    window: int = 10
-    temperature: float = 0.7
-    max_tokens: int | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "embed_dim": self.embed_dim,
-            "embed_seed": self.embed_seed,
-            "k_short": self.k_short,
-            "k_long": self.k_long,
-            "min_similarity": self.min_similarity,
-            "short_term_capacity": self.short_term_capacity,
-            "salience_decay": self.salience_decay,
-            "window": self.window,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-        }
+# The fixed values of every run, each the default of the component that uses
+# it: the embedder, RetrievalPolicy, MemoryStore, WorkingMemory and
+# GenParams. The log meta line, manifest, journal header and run id record
+# them, so a resume refuses a journal written with other values.
+RUN_PARAMS = {
+    "embed_dim": DEFAULT_DIM,
+    "embed_seed": DEFAULT_SEED,
+    "k_short": RetrievalPolicy.k_short,
+    "k_long": RetrievalPolicy.k_long,
+    "min_similarity": RetrievalPolicy.min_similarity,
+    "short_term_capacity": DEFAULT_SHORT_TERM_CAPACITY,
+    "salience_decay": DEFAULT_SALIENCE_DECAY,
+    "window": DEFAULT_WINDOW,
+    "temperature": GenParams.temperature,
+    "max_tokens": GenParams.max_tokens,
+}
 
 
 class Simulation:
@@ -215,7 +206,6 @@ class Simulation:
         provider: Provider,
         config: SimulationConfig,
         seed: int = 0,
-        params: RunParams | None = None,
     ):
         missing = [a for a in dataset.agent_ids if a not in roles]
         if missing:
@@ -229,33 +219,15 @@ class Simulation:
         self.provider = provider
         self.config = config
         self.seed = seed
-        self.params = params or RunParams()
         self.dataset_digest = dataset.digest()
-        self.gen_params = GenParams(
-            temperature=self.params.temperature,
-            max_tokens=self.params.max_tokens,
-            seed=seed,
-        )
-        self.policy = RetrievalPolicy(
-            k_short=self.params.k_short,
-            k_long=self.params.k_long,
-            min_similarity=self.params.min_similarity,
-        )
-        self.embedder = shared_embedder(self.params.embed_dim, self.params.embed_seed)
+        self.gen_params = GenParams(seed=seed)
+        self.policy = RetrievalPolicy()
+        self.embedder = shared_embedder()
         self.stores = {
-            agent_id: MemoryStore(
-                agent_id,
-                config,
-                self.embedder,
-                capacity=self.params.short_term_capacity,
-                decay=self.params.salience_decay,
-            )
+            agent_id: MemoryStore(agent_id, config, self.embedder)
             for agent_id in dataset.agent_ids
         }
-        self.working_memories = {
-            agent_id: WorkingMemory(window=self.params.window)
-            for agent_id in dataset.agent_ids
-        }
+        self.working_memories = {agent_id: WorkingMemory() for agent_id in dataset.agent_ids}
         self.env = EnvironmentState(AreaMap.default())
         self.entries: list[InteractionLogEntry] = []
         self.completed_steps = 0
@@ -309,7 +281,7 @@ class Simulation:
                 "provider": self.provider.name,
                 "seed": self.seed,
                 "dataset": self.dataset_digest,
-                "params": self.params.as_dict(),
+                "params": RUN_PARAMS,
             },
             sort_keys=True,
         )
@@ -322,7 +294,7 @@ class Simulation:
             "provider": self.provider.name,
             "seed": self.seed,
             "dataset_digest": self.dataset_digest,
-            "params": self.params.as_dict(),
+            "params": dict(RUN_PARAMS),
         }
 
     def log(self) -> InteractionLog:
@@ -553,10 +525,8 @@ class Simulation:
             "status": status,
             "config": self.config.as_dict(),
             "provider": self.provider.name,
-            # One provider answers every call; the key keeps manifests stable.
-            "update_provider": self.provider.name,
             "seed": self.seed,
-            "params": self.params.as_dict(),
+            "params": dict(RUN_PARAMS),
             "dataset_digest": self.dataset_digest,
             "completed_steps": self.completed_steps,
             "total_steps": len(self.dataset.steps),
@@ -593,7 +563,7 @@ class Simulation:
             "dataset_digest": self.dataset_digest,
             "config": self.config.as_dict(),
             "seed": self.seed,
-            "params": self.params.as_dict(),
+            "params": dict(RUN_PARAMS),
             "provider": self.provider.name,
         }
 
@@ -686,10 +656,7 @@ class Simulation:
         # message until its role changes, and each working-memory turn with
         # every later prompt that shows it. Working memory ends as the window
         # of each agent's latest logged turns.
-        working = {
-            agent_id: WorkingMemory(window=self.params.window)
-            for agent_id in self.working_memories
-        }
+        working = {agent_id: WorkingMemory() for agent_id in self.working_memories}
         systems: dict[str, ChatMessage] = {}
         entries = []
         for raw in raw_entries:
@@ -701,14 +668,7 @@ class Simulation:
             entries.append(entry)
             wm.append_turn(entry.situation_text, entry.response)
         stores = {
-            agent_id: MemoryStore.load(
-                agent_id,
-                self.config,
-                self.embedder,
-                rows[agent_id],
-                capacity=self.params.short_term_capacity,
-                decay=self.params.salience_decay,
-            )
+            agent_id: MemoryStore.load(agent_id, self.config, self.embedder, rows[agent_id])
             for agent_id in self.stores
         }
         # Everything read: drop the bytes written after the commit.
@@ -826,13 +786,12 @@ def run_simulation(
     provider: Provider,
     config: SimulationConfig,
     seed: int = 0,
-    params: RunParams | None = None,
     out_dir: str | Path | None = None,
     jobs: int = 1,
     resume: bool = False,
 ) -> InteractionLog:
     """Run every dataset step under one configuration; returns the log."""
-    sim = Simulation(dataset, roles, provider, config, seed=seed, params=params)
+    sim = Simulation(dataset, roles, provider, config, seed=seed)
     if resume:
         if not out_dir:
             raise ValueError("resume requires an output directory")

@@ -82,6 +82,30 @@ def test_validate_rejects_broken_dataset(runner, tmp_path):
     assert "non-empty JSON array" in result.output
 
 
+@pytest.mark.parametrize(
+    "command", ["validate", "run", "matrix", "evaluate", "export-human-eval"]
+)
+def test_every_dataset_command_reports_a_malformed_dataset(runner, tmp_path, command):
+    bad = tmp_path / "bad"
+    bad.mkdir()
+    (bad / "x01.json").write_text("[{", encoding="utf-8")
+    log = tmp_path / "log.jsonl"
+    log.write_text("", encoding="utf-8")
+    out = str(tmp_path / "out")
+    extra = {
+        "validate": [],
+        "run": ["--config-id", "1", "--provider", "replay", "--out", out],
+        "matrix": ["--provider", "replay", "--out", out],
+        "evaluate": ["--log", str(log)],
+        "export-human-eval": ["--log", f"1={log}", "--out", out, "--key", out + ".key"],
+    }[command]
+    result = runner.invoke(main, [command, "--dataset", str(bad), *extra])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: " in result.output and "invalid JSON" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_with_bad_config_id_lists_valid_ids(runner, cli_fixture_dir, tmp_path):
     result = runner.invoke(
         main,
@@ -351,6 +375,23 @@ def test_export_and_tally_human_eval(runner, cli_fixture_dir, tmp_path):
     assert result.exit_code == 0, result.output
     tallies = json.loads(result.output)
     assert sum(tallies.values()) == len(blocks)
+
+
+@pytest.mark.parametrize("position", ["1", 1.5, True])
+def test_tally_rejects_a_vote_position_that_is_not_an_integer(runner, tmp_path, position):
+    key_path = tmp_path / "key.json"
+    key_path.write_text(
+        json.dumps({"group_ids": [0, 1], "blocks": {"b1": [1, 0]}}), encoding="utf-8"
+    )
+    votes_path = tmp_path / "votes.json"
+    votes_path.write_text(json.dumps({"b1": position}), encoding="utf-8")
+    result = runner.invoke(
+        main, ["tally-human-eval", "--key", str(key_path), "--votes", str(votes_path)]
+    )
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: b1: vote position" in result.output
+    assert "not an integer" in result.output
 
 
 def test_tally_missing_key_file_is_explicit(runner, tmp_path):

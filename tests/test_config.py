@@ -8,7 +8,6 @@ from schoolsim.config import (
     config_by_id,
     config_matrix,
     load_config_file,
-    load_matrix_fixture,
 )
 
 
@@ -39,18 +38,6 @@ def test_known_rows():
         BaseStructure.NONE,
         False,
     )
-
-
-def test_matrix_matches_shipped_fixture_field_by_field():
-    fixture = load_matrix_fixture()
-    matrix = config_matrix()
-    assert len(fixture) == len(matrix)
-    for row, config in zip(fixture, matrix):
-        assert int(row["id"]) == config.id
-        assert (row["eb_enabled"] == "enabled") == config.eb_enabled
-        assert (row["kb_enabled"] == "enabled") == config.kb_enabled
-        assert row["base_structure"] == config.base_structure.value
-        assert (row["stlt_enabled"] == "enabled") == config.stlt_enabled
 
 
 def test_none_structure_requires_everything_disabled():

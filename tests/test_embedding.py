@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schoolsim.embedding import HashedBagEmbedder, cosine, shared_embedder, split_tokens
+from schoolsim.embedding import (
+    DEFAULT_DIM,
+    DEFAULT_SEED,
+    HashedBagEmbedder,
+    cosine,
+    shared_embedder,
+    split_tokens,
+)
 from schoolsim.errors import DimensionMismatchError, EmptyTextError, ZeroVectorError
 
 
@@ -228,14 +235,10 @@ def test_the_memo_keeps_counts_in_the_narrowest_integer_dtype():
         assert root == float(count)
 
 
-def test_shared_embedder_is_one_instance_per_dim_and_seed():
-    default = shared_embedder()
-    assert shared_embedder(256, 0) is default
-    assert shared_embedder(dim=256, seed=0) is default
-    assert shared_embedder(64) is shared_embedder(64, 0) is not default
-    assert shared_embedder(seed=1) is not default
-    with pytest.raises(ValueError):
-        shared_embedder(0)
+def test_shared_embedder_is_one_instance():
+    embedder = shared_embedder()
+    assert shared_embedder() is embedder
+    assert (embedder.dim, embedder.seed) == (DEFAULT_DIM, DEFAULT_SEED)
 
 
 def test_embedders_with_other_seeds_or_dims_share_no_cache():

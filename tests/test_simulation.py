@@ -21,13 +21,13 @@ from schoolsim.errors import (
     ScriptMissError,
     WrongTypeError,
 )
+from schoolsim.embedding import HashedBagEmbedder, shared_embedder
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
 from schoolsim.llm import ChatMessage, GenParams, Provider, ScriptedProvider
 from schoolsim.memory import MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
     ReplayBundle,
-    RunParams,
     Simulation,
     load_log,
     parse_memory_update,
@@ -170,9 +170,8 @@ def test_every_provider_call_carries_the_run_gen_params(
             calls.append((messages[-1].content.split("\n", 1)[0], params))
             return gated_provider.complete(messages, params)
 
-    params = RunParams(temperature=0.3, max_tokens=64)
-    Simulation(mini_dataset, mini_roles, Recording(), config_by_id(1), seed=7, params=params).run()
-    expected = GenParams(temperature=0.3, max_tokens=64, seed=7)
+    Simulation(mini_dataset, mini_roles, Recording(), config_by_id(1), seed=7).run()
+    expected = GenParams(temperature=0.7, max_tokens=None, seed=7)
     assert ROLE_UPDATE_HEADER.split("\n", 1)[0] in {first for first, _ in calls}
     assert all(got == expected for _, got in calls)
 
@@ -503,18 +502,25 @@ def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_ru
     if field == "seed":
         kwargs["seed"] = 5
     elif field == "params":
-        kwargs["params"] = RunParams(window=5)
+        # A journal written with another working-memory window.
+        journal = reference_run / "checkpoint" / "journal.jsonl"
+        header, rest = journal.read_bytes().split(b"\n", 1)
+        header = json.loads(header)
+        header["params"]["window"] = 5
+        journal.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
     elif field == "provider":
         provider.name = "other-provider"
     elif field == "config":
         config_id = 2
     else:
         dataset = take_steps(mini_dataset, 6)
+    before = _run_dir_files(reference_run)
     with pytest.raises(ValueError, match=f"different {field}"):
         _run(
             dataset, mini_fixture, config_id, provider=provider,
             out_dir=reference_run, resume=True, **kwargs,
         )
+    assert _run_dir_files(reference_run) == before
 
 
 def _downgrade_to_checkpoint_v2(run_dir: Path) -> None:
@@ -939,42 +945,53 @@ def test_matrix_log_digests_are_pinned(tmp_path):
 
 
 def test_matrix_digests_hold_in_any_order_beside_other_embedders(tmp_path):
-    # Every run in a process shares one embedder per (embed_dim, embed_seed)
-    # and its memo; neither the order of the runs nor a run with another
-    # embedder between them may change a digest.
+    # Every run in a process shares one embedder and its memo; neither the
+    # order of the runs nor another embedder that embedded the same texts
+    # first may change a digest.
     paths = build_fixture(tmp_path, teachers=2, students=4, days=5, seed=0)
     dataset = load_fixture_dataset(paths.root)
-
-    def digest(cfg, params=None):
-        return run_simulation(
+    other = HashedBagEmbedder(dim=64, seed=3)
+    for step in dataset.steps:
+        other.embed(step.user)
+        other.embed(step.reference)
+    digests = {
+        cfg.id: run_simulation(
             dataset,
             load_roles_dir(paths.roles_dir),
             MemoryGatedProvider.from_file(paths.script_path),
             cfg,
             seed=0,
-            params=params,
         ).digest()
-
-    other = RunParams(embed_dim=64, embed_seed=3)
-    first = digest(config_by_id(1), other)
-    assert first != MATRIX_DIGESTS[1]
-    assert {cfg.id: digest(cfg) for cfg in reversed(config_matrix())} == MATRIX_DIGESTS
-    assert digest(config_by_id(1), other) == first
+        for cfg in reversed(config_matrix())
+    }
+    assert digests == MATRIX_DIGESTS
 
 
-def test_simulations_share_one_embedder_per_dim_and_seed(mini_dataset, mini_roles):
-    def embedder(params):
-        return Simulation(
-            mini_dataset, mini_roles, ScriptedProvider({}), config_by_id(1), params=params
-        ).embedder
+def test_simulations_share_one_embedder(mini_dataset, mini_roles):
+    def embedder():
+        return Simulation(mini_dataset, mini_roles, ScriptedProvider({}), config_by_id(1)).embedder
 
-    default = embedder(RunParams())
-    assert embedder(RunParams(embed_dim=256, embed_seed=0)) is default
-    assert embedder(None) is default
-    small = embedder(RunParams(embed_dim=64))
-    assert embedder(RunParams(embed_dim=64)) is small
-    assert small is not default
-    assert embedder(RunParams(embed_seed=1)) not in (default, small)
+    assert embedder() is embedder() is shared_embedder()
+
+
+def test_recorded_params_are_the_values_the_run_uses(mini_dataset, mini_roles):
+    sim = Simulation(mini_dataset, mini_roles, ScriptedProvider({}), config_by_id(1), seed=7)
+    ((capacity, decay),) = {(s.capacity, s.decay) for s in sim.stores.values()}
+    (window,) = {wm.window for wm in sim.working_memories.values()}
+    used = {
+        "embed_dim": sim.embedder.dim,
+        "embed_seed": sim.embedder.seed,
+        "k_short": sim.policy.k_short,
+        "k_long": sim.policy.k_long,
+        "min_similarity": sim.policy.min_similarity,
+        "short_term_capacity": capacity,
+        "salience_decay": decay,
+        "window": window,
+        "temperature": sim.gen_params.temperature,
+        "max_tokens": sim.gen_params.max_tokens,
+    }
+    assert sim.log_meta()["params"] == used
+    assert sim.gen_params.seed == 7
 
 
 def test_standard_group_log_digests_are_pinned(ablation_runs):
