@@ -11,7 +11,8 @@ Provider names: ``replay`` (dataset ground truth), ``memory-gated`` (the
 fixture's retrieval-sensitive script), ``scripted:<path>`` (JSON script
 file), or a section name from a providers INI file (``--providers-file``)
 holding ``type``/``url``/``model``/``auth_env`` keys. API keys come from the
-named environment variable only.
+named environment variable only. ``--jobs`` is how many requests an HTTP
+provider may have in flight; every other provider answers one at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from .evaluation import (
     save_human_eval,
     score_responses,
 )
-from .fixtures import GATED_SCRIPT_FILENAME, MemoryGatedProvider, build_fixture
+from .fixtures import AGENTS_DIRNAME, GATED_SCRIPT_FILENAME, ROLES_DIRNAME
+from .fixtures import MemoryGatedProvider, build_fixture
 from .llm import HttpProvider, Provider, ScriptedProvider
 from .simulation import (
     LOG_FILENAME,
@@ -47,13 +49,10 @@ from .simulation import (
 
 logger = logging.getLogger(__name__)
 
-AGENTS_SUBDIR = "agents"
-ROLES_SUBDIR = "roles"
-
 
 def _resolve_dataset_dir(path: Path) -> Path:
-    if (path / AGENTS_SUBDIR).is_dir():
-        return path / AGENTS_SUBDIR
+    if (path / AGENTS_DIRNAME).is_dir():
+        return path / AGENTS_DIRNAME
     return path
 
 
@@ -66,6 +65,15 @@ def _load_dataset(path: str) -> tuple[Dataset, Path]:
     return dataset, root
 
 
+def _log_responses(path: str) -> tuple[dict, list[str]]:
+    """The meta line and the responses of the run log at ``path``."""
+    try:
+        meta, entries = load_log(path)
+        return meta, [entry["response"] for entry in entries]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise click.ClickException(f"cannot read log {path}: {exc}")
+
+
 def _load_roles(dataset: Dataset, roles_dir: Path) -> dict:
     roles = {}
     for agent_id in dataset.agent_ids:
@@ -76,8 +84,11 @@ def _load_roles(dataset: Dataset, roles_dir: Path) -> dict:
     return roles
 
 
-def _provider_factory(name: str, dataset: Dataset, root: Path, providers_file: str | None):
-    """Returns a zero-argument callable building a fresh provider instance."""
+def _provider_factory(
+    name: str, dataset: Dataset, root: Path, providers_file: str | None, jobs: int = 1
+):
+    """Returns a zero-argument callable building a fresh provider instance;
+    an HTTP provider gets ``jobs`` requests in flight."""
     if name == "replay":
         return lambda: ReplayBundle.from_dataset(dataset)
     if name == "memory-gated":
@@ -116,6 +127,7 @@ def _provider_factory(name: str, dataset: Dataset, root: Path, providers_file: s
             timeout=section.getfloat("timeout", 60.0),
             max_retries=section.getint("max_retries", 3),
             name=name,
+            jobs=jobs,
         )
 
     return build
@@ -125,7 +137,10 @@ def _parse_config(config_id: int | None, config_file: str | None) -> SimulationC
     if (config_id is None) == (config_file is None):
         raise click.UsageError("give exactly one of --config-id or --config-file")
     if config_file is not None:
-        return load_config_file(config_file)
+        try:
+            return load_config_file(config_file)
+        except ValueError as exc:
+            raise click.ClickException(f"{config_file}: {exc}")
     try:
         return config_by_id(config_id)
     except ValueError as exc:
@@ -219,17 +234,17 @@ def validate(dataset_path) -> None:
         click.echo(f"  (unlabeled: {stats.unlabeled})")
 
 
-def _threads_for(provider: Provider, jobs: int) -> int:
-    """``jobs``, or 1 with a warning for a provider that answers in-process:
-    extra threads only pay off while calls wait on an HTTP endpoint."""
-    if jobs > 1 and not isinstance(provider, HttpProvider):
-        logger.warning(
-            "--jobs %d ignored: provider %r answers in-process, so runs use one thread",
-            jobs,
-            provider.name,
-        )
-        return 1
-    return jobs
+def _warn_unused_jobs(provider: Provider, jobs: int) -> int:
+    """Warn when ``jobs`` is more than the calls ``provider`` may have in
+    flight; returns what is left to warn about, so a command warns once."""
+    if jobs <= provider.jobs:
+        return jobs
+    logger.warning(
+        "--jobs %d ignored: provider %r answers in-process, so runs use one thread",
+        jobs,
+        provider.name,
+    )
+    return provider.jobs
 
 
 def _run_one(
@@ -239,23 +254,15 @@ def _run_one(
     provider: Provider,
     seed: int,
     out_dir: Path,
-    jobs: int,
     roles_dir: Path | None,
     resume: bool,
 ):
-    roles_path = roles_dir or (root / ROLES_SUBDIR)
+    roles_path = roles_dir or (root / ROLES_DIRNAME)
     if not roles_path.is_dir():
         raise click.ClickException(f"no roles directory at {roles_path}")
     roles = _load_roles(dataset, roles_path)
     return run_simulation(
-        dataset,
-        roles,
-        provider,
-        config,
-        seed=seed,
-        out_dir=out_dir,
-        jobs=jobs,
-        resume=resume,
+        dataset, roles, provider, config, seed=seed, out_dir=out_dir, resume=resume
     )
 
 
@@ -285,10 +292,11 @@ def run_cmd(
     """Run one configuration over a dataset; writes log and manifest."""
     config = _parse_config(config_id, config_file)
     dataset, root = _load_dataset(dataset_path)
-    factory = _provider_factory(provider_name, dataset, root, providers_file)
+    factory = _provider_factory(provider_name, dataset, root, providers_file, jobs)
     out_dir = Path(out)
     try:
         provider = factory()
+        _warn_unused_jobs(provider, jobs)
         log = _run_one(
             dataset,
             root,
@@ -296,7 +304,6 @@ def run_cmd(
             provider,
             seed,
             out_dir,
-            _threads_for(provider, jobs),
             Path(roles_dir) if roles_dir else None,
             resume,
         )
@@ -328,7 +335,7 @@ def matrix(
 ) -> None:
     """Run all nine configurations, evaluate each, render a combined report."""
     dataset, root = _load_dataset(dataset_path)
-    factory = _provider_factory(provider_name, dataset, root, providers_file)
+    factory = _provider_factory(provider_name, dataset, root, providers_file, jobs)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -337,8 +344,7 @@ def matrix(
         run_dir = out_dir / f"config-{config.id}"
         try:
             provider = factory()
-            # Warns once: jobs is 1 from then on.
-            jobs = _threads_for(provider, jobs)
+            jobs = _warn_unused_jobs(provider, jobs)
             log = _run_one(
                 dataset,
                 root,
@@ -346,7 +352,6 @@ def matrix(
                 provider,
                 seed,
                 run_dir,
-                jobs,
                 Path(roles_dir) if roles_dir else None,
                 resume=False,
             )
@@ -377,10 +382,10 @@ def matrix(
 def evaluate(log_path, dataset_path, fmt, interval, beta, out) -> None:
     """Score a run log against the dataset's reference answers."""
     dataset, _root = _load_dataset(dataset_path)
-    meta, entries = load_log(log_path)
+    meta, responses = _log_responses(log_path)
     try:
         report = score_responses(
-            [entry["response"] for entry in entries],
+            responses,
             dataset.reference_answers(),
             config_id=meta.get("config", {}).get("id", 0),
             beta=beta,
@@ -417,10 +422,9 @@ def export_human_eval(log_specs, dataset_path, include_reference, seed, out, key
         groups[0] = dataset.reference_answers()
     for spec in log_specs:
         group_id, _, path = spec.partition("=")
-        if not path:
-            raise click.UsageError(f"--log expects ID=PATH, got {spec!r}")
-        _meta, entries = load_log(path)
-        groups[int(group_id)] = [entry["response"] for entry in entries]
+        if not path or not group_id.isdecimal():
+            raise click.UsageError(f"--log expects ID=PATH with an integer ID, got {spec!r}")
+        groups[int(group_id)] = _log_responses(path)[1]
     try:
         export = export_human_eval_sample(groups, dataset, seed=seed)
     except SchoolSimError as exc:
@@ -439,11 +443,11 @@ def tally_human_eval(key_path, votes_path) -> None:
     key_file = Path(key_path)
     if not key_file.exists():
         raise click.ClickException(f"key file not found: {key_file}")
-    key = json.loads(key_file.read_text(encoding="utf-8"))
-    votes = json.loads(Path(votes_path).read_text(encoding="utf-8"))
     try:
+        key = json.loads(key_file.read_text(encoding="utf-8"))
+        votes = json.loads(Path(votes_path).read_text(encoding="utf-8"))
         tallies = recover_tallies(key, votes)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(str(exc))
     click.echo(json.dumps({str(k): v for k, v in sorted(tallies.items())}, indent=2))
 

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 
-from .agent import RoleKind
+from .agent import TEACHER_SUBJECTS, RoleKind
 from .errors import (
     RoleMismatchError,
     UnknownActionError,
     UnknownAreaError,
 )
 
-SUBJECTS = ("Chinese", "Math", "Physics", "Chemistry", "History")
 N_DAYS = 5
 DAY_NAMES = ("Monday", "Tuesday", "Wednesday", "Thursday", "Friday")
 
@@ -152,10 +151,6 @@ class AreaMap:
         except KeyError:
             raise UnknownAreaError(f"unknown area: {name!r}") from None
 
-    def adjacent(self, a: str, b: str) -> bool:
-        # Fully connected: any distinct pair of valid areas is adjacent.
-        return self.canonical(a) != self.canonical(b)
-
 
 @dataclass
 class EnvironmentState:
@@ -206,13 +201,13 @@ class Timetable:
             if len(cells) != 6:
                 raise ValueError(f"{class_id}: row has {len(cells)} cells: {line!r}")
             for day, subject in zip(DAY_NAMES, cells[1:]):
-                if subject not in SUBJECTS:
+                if subject not in TEACHER_SUBJECTS:
                     raise ValueError(f"{class_id}: unknown subject {subject!r}")
                 grid[(day, period)] = subject
         return cls(class_id, grid)
 
     def subject_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in SUBJECTS}
+        counts = {s: 0 for s in TEACHER_SUBJECTS}
         for subject in self.grid.values():
             counts[subject] += 1
         return counts

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _kernels
-from .config import SimulationConfig, config_matrix  # noqa: F401  (re-exported)
 from .dataset import Dataset
 from .errors import LengthMismatchError
 
@@ -372,6 +371,8 @@ def recover_tallies(key: dict, votes: dict[str, int]) -> dict[int, int]:
 
     ``votes`` maps block id to the 0-based position of the chosen answer.
     """
+    if not isinstance(votes, dict):
+        raise ValueError(f"votes must map block ids to positions, not {type(votes).__name__}")
     tallies = {int(g): 0 for g in key["group_ids"]}
     for block_id, position in votes.items():
         if block_id not in key["blocks"]:

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .agent import RoleKind, RoleSetting, save_role, serialize_role
+from .agent import TEACHER_SUBJECTS, RoleKind, RoleSetting, save_role, serialize_role
 from .dataset import Dataset, load_standard_group
 from .environment import (
     SimTime,
@@ -286,7 +286,7 @@ def build_fixture(
 
     for i, agent_id in enumerate(teacher_ids):
         rng = random.Random(f"{seed}:{agent_id}")
-        subject = ("Chinese", "Math", "Physics", "Chemistry", "History")[i // 2 % 5]
+        subject = TEACHER_SUBJECTS[i // 2 % len(TEACHER_SUBJECTS)]
         covers_class = "Class 1" if i % 2 == 0 else "Class 2"
         roles[agent_id] = _teacher_role(agent_id, i, subject, rng)
         plans[agent_id] = [

@@ -1,7 +1,8 @@
 """Chat-completion provider abstraction.
 
-Ships two deterministic offline providers (scripted, replay) and a generic
-HTTP client for any endpoint speaking the common chat-completions shape.
+Ships the deterministic offline ``ScriptedProvider`` and a generic HTTP
+client for any endpoint speaking the common chat-completions shape; the
+replay and memory-gated providers live in ``simulation`` and ``fixtures``.
 Remote calls are retried with exponential backoff on timeouts and 5xx; 4xx
 responses are terminal.
 """
@@ -17,12 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import (
-    ProviderHTTPError,
-    ProviderTimeout,
-    ReplayExhaustedError,
-    ScriptMissError,
-)
+from .errors import ProviderHTTPError, ProviderTimeout, ScriptMissError
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +60,8 @@ class Provider(ABC):
     """Behavior contract: complete(messages, params) -> text."""
 
     name: str = "provider"
+    # How many calls a run may have in flight: 1 for an in-process provider.
+    jobs: int = 1
 
     @abstractmethod
     def complete(
@@ -109,34 +107,6 @@ class ScriptedProvider(Provider):
         return cls(data.get("script", data), fallback=data.get("fallback"), name=name)
 
 
-class ReplayProvider(Provider):
-    """Emits one transcript's recorded assistant messages in order.
-
-    Stateful and single-consumer: each call returns the next answer and
-    advances the cursor; exhausting the transcript raises.
-    """
-
-    def __init__(self, answers: Sequence[str], name: str = "replay"):
-        self.answers = list(answers)
-        self.name = name
-        self._index = 0
-
-    def complete(
-        self, messages: Sequence[ChatMessage], params: GenParams | None = None
-    ) -> str:
-        validate_messages(messages)
-        if self._index >= len(self.answers):
-            raise ReplayExhaustedError(
-                f"replay exhausted after {len(self.answers)} answers"
-            )
-        answer = self.answers[self._index]
-        self._index += 1
-        return answer
-
-    def reset(self) -> None:
-        self._index = 0
-
-
 class HttpProvider(Provider):
     """Client for a chat-completions style HTTP endpoint.
 
@@ -144,7 +114,8 @@ class HttpProvider(Provider):
     "max_tokens", "seed"}``. The response may carry the generated text either
     as ``{"text": ...}`` or in the ``choices[0].message.content`` shape.
     The API key is read from the named environment variable, never from
-    config file contents.
+    config file contents. ``jobs`` requests may be in flight at once, each on
+    its own thread.
     """
 
     def __init__(
@@ -156,6 +127,7 @@ class HttpProvider(Provider):
         max_retries: int = 3,
         backoff: float = 1.0,
         name: str | None = None,
+        jobs: int = 1,
     ):
         self.base_url = base_url
         self.model = model
@@ -164,6 +136,7 @@ class HttpProvider(Provider):
         self.max_retries = max_retries
         self.backoff = backoff
         self.name = name or f"http:{model}"
+        self.jobs = jobs
 
     def _headers(self) -> dict[str, str]:
         import os

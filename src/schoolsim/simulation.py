@@ -46,10 +46,12 @@ from .errors import (
     MissingFieldError,
     NoJsonFoundError,
     ProviderError,
+    ReplayExhaustedError,
     UnknownAreaError,
     WrongTypeError,
 )
-from .llm import ChatMessage, GenParams, Provider, ReplayProvider
+from .fixtures import EMPTY_UPDATE_JSON, ROLE_UNCHANGED_RESPONSE
+from .llm import ChatMessage, GenParams, Provider
 from .memory import (
     DEFAULT_SALIENCE_DECAY,
     DEFAULT_SHORT_TERM_CAPACITY,
@@ -106,10 +108,12 @@ def parse_memory_update(text: str) -> MemoryUpdate:
 
 @dataclass
 class InteractionLogEntry:
+    """One step of the log; the fields in order are the keys of its line."""
+
     step_index: int
     agent_id: str
     time: SimTime
-    situation_text: str
+    situation: str
     prompt: list[ChatMessage]
     response: str
     action_category: str | None
@@ -123,20 +127,9 @@ class InteractionLogEntry:
 
     def as_dict(self) -> dict:
         return {
-            "step_index": self.step_index,
-            "agent_id": self.agent_id,
+            **vars(self),
             "time": self.time.as_dict(),
-            "situation": self.situation_text,
             "prompt": [m.as_dict() for m in self.prompt],
-            "response": self.response,
-            "action_category": self.action_category,
-            "retrieved_count": self.retrieved_count,
-            "memory_update_counts": self.memory_update_counts,
-            "memory_update_failed": self.memory_update_failed,
-            "memory_update_raw": self.memory_update_raw,
-            "move": self.move,
-            "rejected_move": self.rejected_move,
-            "role_updated": self.role_updated,
         }
 
 
@@ -288,14 +281,7 @@ class Simulation:
         return hashlib.sha256(material.encode("utf-8")).hexdigest()[:12]
 
     def log_meta(self) -> dict:
-        return {
-            "run_id": self.run_id(),
-            "config": self.config.as_dict(),
-            "provider": self.provider.name,
-            "seed": self.seed,
-            "dataset_digest": self.dataset_digest,
-            "params": dict(RUN_PARAMS),
-        }
+        return {"run_id": self.run_id(), **self._identity()}
 
     def log(self) -> InteractionLog:
         return InteractionLog(meta=self.log_meta(), entries=self.entries)
@@ -414,7 +400,7 @@ class Simulation:
             step_index=step_index,
             agent_id=agent_id,
             time=step.time,
-            situation_text=situation,
+            situation=situation,
             prompt=prompt,
             response=response,
             action_category=category,
@@ -455,8 +441,9 @@ class Simulation:
             groups[-1].append(index)
         return groups
 
-    def run(self, out_dir: str | Path | None = None, jobs: int = 1) -> InteractionLog:
-        # One pool serves every slot of the run.
+    def run(self, out_dir: str | Path | None = None) -> InteractionLog:
+        # One pool, as wide as the provider's calls in flight, serves every slot.
+        jobs = self.provider.jobs
         with ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
             return self._run(out_dir, pool)
 
@@ -521,13 +508,8 @@ class Simulation:
     def manifest(self, status: str, out_path: Path) -> dict:
         outputs = [LOG_FILENAME] if (out_path / LOG_FILENAME).exists() else []
         return {
-            "run_id": self.run_id(),
+            **self.log_meta(),
             "status": status,
-            "config": self.config.as_dict(),
-            "provider": self.provider.name,
-            "seed": self.seed,
-            "params": dict(RUN_PARAMS),
-            "dataset_digest": self.dataset_digest,
             "completed_steps": self.completed_steps,
             "total_steps": len(self.dataset.steps),
             "counters": self.aggregate_counters(),
@@ -666,7 +648,7 @@ class Simulation:
             systems[agent_id] = prompt[0]
             entry = _entry_from_dict(raw, prompt)
             entries.append(entry)
-            wm.append_turn(entry.situation_text, entry.response)
+            wm.append_turn(entry.situation, entry.response)
         stores = {
             agent_id: MemoryStore.load(agent_id, self.config, self.embedder, rows[agent_id])
             for agent_id in self.stores
@@ -719,43 +701,25 @@ def _restored_prompt(
 
 
 def _entry_from_dict(raw: dict, prompt: list[ChatMessage]) -> InteractionLogEntry:
-    return InteractionLogEntry(
-        step_index=raw["step_index"],
-        agent_id=raw["agent_id"],
-        time=SimTime.at(raw["time"]["day"], Slot.from_label(raw["time"]["slot"])),
-        situation_text=raw["situation"],
-        prompt=prompt,
-        response=raw["response"],
-        action_category=raw["action_category"],
-        retrieved_count=raw["retrieved_count"],
-        memory_update_counts=raw["memory_update_counts"],
-        memory_update_failed=raw["memory_update_failed"],
-        memory_update_raw=raw["memory_update_raw"],
-        move=raw["move"],
-        rejected_move=raw["rejected_move"],
-        role_updated=raw["role_updated"],
-    )
+    time = SimTime.at(raw["time"]["day"], Slot.from_label(raw["time"]["slot"]))
+    return InteractionLogEntry(**{**raw, "time": time, "prompt": prompt})
 
 
 _AGENT_ID_RE = re.compile(r"^Agent ID:\s*(.+?)\s*$", re.MULTILINE)
-
-_EMPTY_UPDATE_JSON = json.dumps(MemoryUpdate().as_dict())
 
 
 class ReplayBundle(Provider):
     """Replays each agent's recorded answers in order, routed by agent id.
 
-    Transcripts only record action answers, so memory-update prompts get a
-    canned empty update and role-update prompts report no significant change.
-    Per-agent cursors make the bundle safe under slot-parallel stepping (one
-    thread per agent); exhausting an agent's answers raises.
+    Transcripts only record action answers, so memory-update prompts get the
+    fixture's canned empty update and role-update prompts its "no significant
+    change" answer. Per-agent cursors make the bundle safe under slot-parallel
+    stepping (one thread per agent); exhausting an agent's answers raises.
     """
 
     def __init__(self, answers_by_agent: dict[str, list[str]], name: str = "replay"):
-        self._by_agent = {
-            agent_id: ReplayProvider(answers, name=f"{name}:{agent_id}")
-            for agent_id, answers in answers_by_agent.items()
-        }
+        self._answers = {agent_id: list(a) for agent_id, a in answers_by_agent.items()}
+        self._cursors = dict.fromkeys(self._answers, 0)
         self.name = name
 
     @classmethod
@@ -768,16 +732,20 @@ class ReplayBundle(Provider):
     def complete(self, messages, params: GenParams | None = None) -> str:
         content = messages[-1].content
         if content.startswith(MEMORY_UPDATE_HEADER):
-            return _EMPTY_UPDATE_JSON
+            return EMPTY_UPDATE_JSON
         if content.startswith(ROLE_UPDATE_HEADER):
-            return (
-                "No significant updates are needed; the role setting remains "
-                "largely unchanged."
-            )
+            return ROLE_UNCHANGED_RESPONSE
         match = _AGENT_ID_RE.search(messages[0].content)
-        if not match or match.group(1) not in self._by_agent:
+        if not match or match.group(1) not in self._answers:
             raise ProviderError("replay bundle cannot identify the acting agent")
-        return self._by_agent[match.group(1)].complete(messages, params)
+        agent_id = match.group(1)
+        answers, index = self._answers[agent_id], self._cursors[agent_id]
+        if index >= len(answers):
+            raise ReplayExhaustedError(
+                f"replay of {agent_id} exhausted after {len(answers)} answers"
+            )
+        self._cursors[agent_id] = index + 1
+        return answers[index]
 
 
 def run_simulation(
@@ -787,7 +755,6 @@ def run_simulation(
     config: SimulationConfig,
     seed: int = 0,
     out_dir: str | Path | None = None,
-    jobs: int = 1,
     resume: bool = False,
 ) -> InteractionLog:
     """Run every dataset step under one configuration; returns the log."""
@@ -796,4 +763,4 @@ def run_simulation(
         if not out_dir:
             raise ValueError("resume requires an output directory")
         sim.restore_checkpoint(Path(out_dir))
-    return sim.run(out_dir=out_dir, jobs=jobs)
+    return sim.run(out_dir=out_dir)

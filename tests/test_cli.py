@@ -8,9 +8,9 @@ import pytest
 from click.testing import CliRunner
 
 from schoolsim.agent import TEACHER_FIELDS, load_role
-from schoolsim.cli import _threads_for, main
+from schoolsim.cli import _provider_factory, _warn_unused_jobs, main
 from schoolsim.config import config_by_id
-from schoolsim.dataset import load_standard_group
+from schoolsim.dataset import Dataset, load_standard_group
 from schoolsim.fixtures import MemoryGatedProvider
 from schoolsim.llm import HttpProvider
 from schoolsim.simulation import run_simulation
@@ -411,6 +411,71 @@ def test_tally_missing_key_file_is_explicit(runner, tmp_path):
     assert "key file not found" in result.output
 
 
+_EXPORT = ["export-human-eval", "--dataset", "{dataset}", "--out", "blocks.json"]
+_EXPORT += ["--key", "key.json", "--log"]
+_TALLY = ["tally-human-eval", "--key", "key.json", "--votes", "votes.json"]
+_RUN = ["run", "--dataset", "{dataset}", "--provider", "replay", "--out", "run"]
+_RUN += ["--config-file", "config.txt"]
+_KEY = json.dumps({"group_ids": [1], "blocks": {}})
+_CONFIG_REST = "eb_enabled=true\nkb_enabled=true\nbase_structure=dual\nstlt_enabled=true\n"
+
+
+@pytest.mark.parametrize(
+    "files, args, exit_code, message",
+    [
+        pytest.param(
+            {"empty.jsonl": ""},
+            ["evaluate", "--dataset", "{dataset}", "--log", "empty.jsonl"],
+            1,
+            "empty log file",
+            id="evaluate-empty-log",
+        ),
+        pytest.param(
+            {"empty.jsonl": ""}, [*_EXPORT, "1=empty.jsonl"], 1, "empty log file",
+            id="export-empty-log",
+        ),
+        pytest.param({}, [*_EXPORT, "1=nope.jsonl"], 1, "nope.jsonl", id="export-missing-log"),
+        # A malformed option value is a usage error, as a spec without "=" is.
+        pytest.param(
+            {"empty.jsonl": ""}, [*_EXPORT, "x=empty.jsonl"], 2, "integer ID",
+            id="export-group-id-not-an-integer",
+        ),
+        pytest.param(
+            {"key.json": _KEY, "votes.json": "[1]"}, _TALLY, 1, "votes must map",
+            id="tally-votes-not-an-object",
+        ),
+        pytest.param(
+            {"key.json": _KEY, "votes.json": "not json"}, _TALLY, 1, "Expecting value",
+            id="tally-votes-not-json",
+        ),
+        pytest.param(
+            {"key.json": "not json", "votes.json": "{}"}, _TALLY, 1, "Expecting value",
+            id="tally-key-not-json",
+        ),
+        pytest.param(
+            {"config.txt": "id=1\n"}, _RUN, 1, "missing keys",
+            id="run-config-file-missing-keys",
+        ),
+        pytest.param(
+            {"config.txt": "id=x\n" + _CONFIG_REST}, _RUN, 1, "invalid literal",
+            id="run-config-file-id-not-an-integer",
+        ),
+    ],
+)
+def test_malformed_input_files_are_reported_without_a_traceback(
+    runner, cli_fixture_dir, tmp_path, monkeypatch, files, args, exit_code, message
+):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    args = [arg.format(dataset=cli_fixture_dir) for arg in args]
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == exit_code
+    assert "Error: " in result.output
+    assert message in result.output
+
+
 def test_gen_roles_with_scripted_provider(runner, tmp_path):
     profile = "\n".join(f"- {name}: scripted {name.lower()}" for name in TEACHER_FIELDS)
     script_path = tmp_path / "script.json"
@@ -677,7 +742,11 @@ def test_matrix_with_jobs_and_an_offline_provider_warns_once(
     assert result.stderr.count("--jobs 2 ignored") == 1
 
 
-def test_jobs_stay_as_given_for_an_http_provider(caplog):
-    provider = HttpProvider(base_url="http://localhost:1/v1", model="m")
-    assert _threads_for(provider, 4) == 4
+def test_jobs_stay_as_given_for_an_http_provider(tmp_path, caplog):
+    providers = tmp_path / "providers.ini"
+    providers.write_text("[remote]\ntype = http\nurl = http://localhost:1/v1\n", "utf-8")
+    provider = _provider_factory("remote", Dataset(), tmp_path, str(providers), 4)()
+    assert isinstance(provider, HttpProvider)
+    assert provider.jobs == 4
+    assert _warn_unused_jobs(provider, 4) == 4
     assert "ignored" not in caplog.text

@@ -85,7 +85,6 @@ def test_area_map_has_twenty_five_connected_areas():
     area_map = AreaMap.default()
     assert len(area_map) == 25
     assert "Library" in area_map
-    assert area_map.adjacent("Library", "Cafeteria")
 
 
 def test_move_agent_updates_location_and_log():

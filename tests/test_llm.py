@@ -11,10 +11,10 @@ from schoolsim.llm import (
     ChatMessage,
     GenParams,
     HttpProvider,
-    ReplayProvider,
     ScriptedProvider,
     validate_messages,
 )
+from schoolsim.simulation import ReplayBundle
 
 
 def user(text: str) -> list[ChatMessage]:
@@ -64,13 +64,16 @@ def test_scripted_determinism():
 
 
 def test_replay_emits_answers_in_order_then_exhausts():
-    provider = ReplayProvider(["a1", "a2", "a3"])
-    got = [provider.complete(user(f"q{i}")) for i in range(3)]
+    provider = ReplayBundle({"t01": ["a1", "a2", "a3"], "s01": ["b1"]})
+
+    def ask(agent_id: str, text: str) -> str:
+        return provider.complete([ChatMessage("system", f"Agent ID: {agent_id}"), *user(text)])
+
+    got = [ask("t01", f"q{i}") for i in range(3)]
     assert got == ["a1", "a2", "a3"]
-    with pytest.raises(ReplayExhaustedError):
-        provider.complete(user("q4"))
-    provider.reset()
-    assert provider.complete(user("again")) == "a1"
+    with pytest.raises(ReplayExhaustedError, match="t01"):
+        ask("t01", "q4")
+    assert ask("s01", "q1") == "b1"
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):

@@ -5,6 +5,9 @@ import dataclasses
 import json
 import shutil
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -23,7 +26,7 @@ from schoolsim.errors import (
 )
 from schoolsim.embedding import HashedBagEmbedder, shared_embedder
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
-from schoolsim.llm import ChatMessage, GenParams, Provider, ScriptedProvider
+from schoolsim.llm import ChatMessage, GenParams, HttpProvider, Provider, ScriptedProvider
 from schoolsim.memory import MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
@@ -100,7 +103,9 @@ def test_scripted_determinism_byte_identical(mini_dataset, mini_fixture):
 
 def test_slot_parallelism_matches_sequential(mini_dataset, mini_fixture):
     sequential = _run(mini_dataset, mini_fixture, 1, seed=0)
-    parallel = _run(mini_dataset, mini_fixture, 1, seed=0, jobs=4)
+    provider = MemoryGatedProvider.from_file(mini_fixture.script_path)
+    provider.jobs = 4
+    parallel = _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0)
     assert sequential.to_jsonl() == parallel.to_jsonl()
 
 
@@ -719,7 +724,9 @@ def test_resume_ignores_a_commit_line_without_its_newline(
 def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixture):
     runs = [tmp_path / "jobs-1", tmp_path / "jobs-8"]
     for out, jobs in zip(runs, (1, 8)):
-        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=out, jobs=jobs)
+        provider = MemoryGatedProvider.from_file(mini_fixture.script_path)
+        provider.jobs = jobs
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
     assert _run_dir_files(runs[0]) == _run_dir_files(runs[1])
     assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
 
@@ -751,11 +758,120 @@ def test_two_steps_per_agent_in_a_slot_do_not_depend_on_jobs(tmp_path, mini_fixt
     try:
         for out, jobs in zip(runs, (1, 8)):
             provider = ReplayBundle.from_dataset(dataset)
-            _run(dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out, jobs=jobs)
+            provider.jobs = jobs
+            _run(dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
     finally:
         sys.setswitchinterval(interval)
     assert _run_dir_files(runs[0]) == _run_dir_files(runs[1])
     assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
+
+
+class _GatedHandler(BaseHTTPRequestHandler):
+    """Answers each chat request with ``provider``, except action call
+    number ``fail_at`` (counted from 0), which gets a 400."""
+
+    provider: Provider
+    fail_at: int | None
+    actions: int
+    lock: threading.Lock
+
+    def do_POST(self):  # noqa: N802
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
+        handler = type(self)
+        if not messages[-1].content.startswith((MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER)):
+            with handler.lock:
+                failing = handler.actions == handler.fail_at
+                handler.actions += 1
+            if failing:
+                self.send_response(400)
+                self.end_headers()
+                self.wfile.write(b"refused")
+                return
+        encoded = json.dumps({"text": handler.provider.complete(messages)}).encode()
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(encoded)))
+        self.end_headers()
+        self.wfile.write(encoded)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def gated_server(mini_fixture):
+    """The mini fixture's memory-gated provider behind a local HTTP endpoint
+    that serves each request on its own thread: (URL, handler class)."""
+    handler = type(
+        "Handler",
+        (_GatedHandler,),
+        {
+            "provider": MemoryGatedProvider.from_file(mini_fixture.script_path),
+            "fail_at": None,
+            "actions": 0,
+            "lock": threading.Lock(),
+        },
+    )
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_port}/chat", handler
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def test_an_http_provider_with_four_jobs_writes_the_run_of_one_job(
+    tmp_path, mini_dataset, mini_fixture, gated_server, monkeypatch
+):
+    url, _handler = gated_server
+    widths = []
+
+    def pool(max_workers):
+        widths.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr("schoolsim.simulation.ThreadPoolExecutor", pool)
+    runs = {}
+    for jobs in (1, 4):
+        out = tmp_path / f"jobs-{jobs}"
+        provider = HttpProvider(url, model="gated", jobs=jobs)
+        log = _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+        runs[jobs] = (log.digest(), _run_dir_files(out), _manifest_without_clock(out))
+    assert widths == [4]
+    assert runs[4] == runs[1]
+    assert log.responses() == _run(mini_dataset, mini_fixture, 1, seed=0).responses()
+
+
+def test_a_4xx_partway_through_a_slot_under_four_jobs_resumes_to_the_uninterrupted_run(
+    tmp_path, mini_dataset, mini_fixture, gated_server
+):
+    url, handler = gated_server
+    reference = tmp_path / "reference"
+    aborted = tmp_path / "aborted"
+
+    def run(out: Path, **kwargs):
+        provider = HttpProvider(url, model="gated", jobs=4)
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out, **kwargs)
+
+    run(reference)
+    steps = mini_dataset.steps
+    slot_starts = [
+        i for i, step in enumerate(steps) if i == 0 or step.time != steps[i - 1].time
+    ]
+    # Each step makes one action call: fail the third of the fourth slot.
+    assert slot_starts[4] - slot_starts[3] > 3
+    handler.actions = 0
+    handler.fail_at = slot_starts[3] + 2
+    with pytest.raises(ProviderError, match="client error 400"):
+        run(aborted)
+    manifest = _manifest_without_clock(aborted)
+    assert (manifest["status"], manifest["completed_steps"]) == ("aborted", slot_starts[3])
+    run(aborted, resume=True)
+    assert _run_dir_files(aborted) == _run_dir_files(reference)
+    assert _manifest_without_clock(aborted) == _manifest_without_clock(reference)
 
 
 def _run_counters(entries: list[dict]) -> dict:
