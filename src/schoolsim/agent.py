@@ -15,7 +15,7 @@ from enum import Enum
 from pathlib import Path
 
 from .errors import EmptyTextError, ProviderError, RoleParseError
-from .llm import ChatMessage, GenParams, Provider
+from .llm import ChatMessage, Provider
 from .prompts import (
     ROLE_GENERATION_STUDENT,
     ROLE_GENERATION_TEACHER,
@@ -233,13 +233,18 @@ def assemble_prompt(
     return [system, *wm.messages, ChatMessage("user", final)]
 
 
-def update_role_setting(
-    role: RoleSetting,
-    reflection_summary: str,
-    provider: Provider,
-    params: GenParams | None = None,
-) -> bool:
-    """Ask the provider whether the role setting should evolve; returns
+def role_update_request(role: RoleSetting, reflection_summary: str) -> list[ChatMessage]:
+    """The messages asking the provider whether ``role`` should evolve."""
+    if not reflection_summary.strip():
+        raise EmptyTextError("reflection summary must be non-empty")
+    prompt = ROLE_UPDATE_TEMPLATE.format(
+        role_text=serialize_role(role), summary=reflection_summary
+    )
+    return [ChatMessage("user", prompt)]
+
+
+def apply_role_update(role: RoleSetting, response: str) -> bool:
+    """Apply the provider's answer to :func:`role_update_request`; returns
     whether ``role`` changed.
 
     A response containing the unchanged-marker phrase (case-insensitive)
@@ -248,12 +253,6 @@ def update_role_setting(
     (name, gender, age) are stripped and logged as rejected. A response that
     is not a string, such as a missing one, raises ``ProviderError``.
     """
-    if not reflection_summary.strip():
-        raise EmptyTextError("reflection summary must be non-empty")
-    prompt = ROLE_UPDATE_TEMPLATE.format(
-        role_text=serialize_role(role), summary=reflection_summary
-    )
-    response = provider.complete([ChatMessage("user", prompt)], params)
     if not isinstance(response, str):
         raise ProviderError(f"non-string role-update answer: {response!r}")
     if ROLE_UNCHANGED_MARKER in response.lower():

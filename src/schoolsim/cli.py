@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import json
 import logging
+from functools import partial
 from pathlib import Path
 
 import click
@@ -80,8 +81,29 @@ def _load_roles(dataset: Dataset, roles_dir: Path) -> dict:
         role_path = roles_dir / f"{agent_id}.txt"
         if not role_path.exists():
             raise click.ClickException(f"missing role file: {role_path}")
-        roles[agent_id] = load_role(role_path)
+        try:
+            roles[agent_id] = load_role(role_path)
+        except (SchoolSimError, OSError, ValueError) as exc:
+            raise click.ClickException(f"{role_path}: {exc}")
     return roles
+
+
+def _read_json(path: str | Path):
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"{path}: {exc}")
+
+
+def _from_file(load, path: str | Path, **kwargs):
+    """A factory of ``load(path, **kwargs)``, called once here so that a
+    malformed ``path`` fails as ``Error: <path>: …`` before any run starts."""
+    build = partial(load, path, **kwargs)
+    try:
+        build()
+    except (OSError, ValueError) as exc:
+        raise click.ClickException(f"{path}: {exc}")
+    return build
 
 
 def _provider_factory(
@@ -97,27 +119,33 @@ def _provider_factory(
             raise click.ClickException(
                 f"provider 'memory-gated' needs {GATED_SCRIPT_FILENAME} next to the dataset"
             )
-        return lambda: MemoryGatedProvider.from_file(script)
+        return _from_file(MemoryGatedProvider.from_file, script)
     if name.startswith("scripted:"):
         script_path = Path(name.split(":", 1)[1])
         if not script_path.exists():
             raise click.ClickException(f"script file not found: {script_path}")
         # Named after the argument, so two scripts are two providers.
-        return lambda: ScriptedProvider.from_file(script_path, name=name)
+        return _from_file(ScriptedProvider.from_file, script_path, name=name)
     if providers_file is None:
         raise click.ClickException(
             f"unknown provider {name!r} and no --providers-file given"
         )
     parser = configparser.ConfigParser()
-    parser.read(providers_file)
+    try:
+        parser.read(providers_file)
+    except configparser.Error as exc:
+        raise click.ClickException(f"{providers_file}: {exc}")
     if name not in parser:
         raise click.ClickException(f"provider {name!r} not found in {providers_file}")
     section = parser[name]
     kind = section.get("type", "http")
-    if kind == "scripted":
-        return lambda: ScriptedProvider.from_file(section["script"], name=name)
-    if kind != "http":
+    if kind not in ("http", "scripted"):
         raise click.ClickException(f"unknown provider type {kind!r} for {name!r}")
+    key = "url" if kind == "http" else "script"
+    if key not in section:
+        raise click.ClickException(f"{providers_file}: provider {name!r} has no {key}")
+    if kind == "scripted":
+        return _from_file(ScriptedProvider.from_file, section["script"], name=name)
 
     def build() -> Provider:
         return HttpProvider(
@@ -443,9 +471,9 @@ def tally_human_eval(key_path, votes_path) -> None:
     key_file = Path(key_path)
     if not key_file.exists():
         raise click.ClickException(f"key file not found: {key_file}")
+    key = _read_json(key_file)
+    votes = _read_json(votes_path)
     try:
-        key = json.loads(key_file.read_text(encoding="utf-8"))
-        votes = json.loads(Path(votes_path).read_text(encoding="utf-8"))
         tallies = recover_tallies(key, votes)
     except (KeyError, TypeError, ValueError) as exc:
         raise click.ClickException(str(exc))

@@ -80,11 +80,7 @@ class HashedBagEmbedder:
 
     def _token_code(self, token: str) -> int:
         """Hash a token to its signed code and memoise it: its bucket when its
-        sign is +1, ``dim + bucket`` when it is -1.
-
-        Worker threads share one embedder; two that miss on the same token
-        store the same value, so the cache needs no lock.
-        """
+        sign is +1, ``dim + bucket`` when it is -1."""
         digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8, key=self._key)
         h = int.from_bytes(digest.digest(), "little")
         code = h % self.dim if (h >> 63) & 1 else self.dim + h % self.dim
@@ -96,9 +92,7 @@ class HashedBagEmbedder:
 
         Every call returns a new array. The counts are exact integers and
         their conversion to float64 is exact, so a memo hit is the same IEEE
-        division as the miss that stored it, bit for bit. Worker threads
-        share one embedder; two that miss on the same text store equal
-        values, so the memo needs no lock.
+        division as the miss that stored it, bit for bit.
         """
         hit = self._memo.get(text)
         if hit is None:

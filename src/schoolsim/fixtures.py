@@ -405,6 +405,9 @@ class MemoryGatedProvider(Provider):
     """
 
     def __init__(self, script: dict, name: str = "memory-gated"):
+        keys = ("generic_answer", "role_update_response", "actions", "updates")
+        if not isinstance(script, dict) or not all(key in script for key in keys):
+            raise ValueError(f"a gated script is a JSON object with keys {', '.join(keys)}")
         self.generic_answer = script["generic_answer"]
         self.role_update_response = script["role_update_response"]
         self.actions = script["actions"]

@@ -104,6 +104,8 @@ class ScriptedProvider(Provider):
     @classmethod
     def from_file(cls, path: str | Path, name: str = "scripted") -> "ScriptedProvider":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError("a script file holds a JSON object")
         return cls(data.get("script", data), fallback=data.get("fallback"), name=name)
 
 
@@ -114,8 +116,7 @@ class HttpProvider(Provider):
     "max_tokens", "seed"}``. The response may carry the generated text either
     as ``{"text": ...}`` or in the ``choices[0].message.content`` shape.
     The API key is read from the named environment variable, never from
-    config file contents. ``jobs`` requests may be in flight at once, each on
-    its own thread.
+    config file contents. A run sends up to ``jobs`` requests at once.
     """
 
     def __init__(

@@ -23,19 +23,22 @@ import logging
 import os
 import re
 import shutil
+from collections.abc import Generator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .agent import (
     DEFAULT_WINDOW,
     RoleSetting,
     WorkingMemory,
+    apply_role_update,
     assemble_prompt,
     parse_role_text,
+    role_update_request,
     system_message,
-    update_role_setting,
 )
 from .config import SimulationConfig
 from .dataset import Dataset, parse_action_footer
@@ -71,7 +74,7 @@ JOURNAL_FILENAME = "journal.jsonl"
 CHECKPOINT_FORMAT = "checkpoint-v4"
 # Commit lines are the only journal lines that start with this.
 _COMMIT_PREFIX = b'{"commit": '
-# Stateless, so one decoder serves every parse and every thread.
+# Stateless, so one decoder serves every parse.
 _JSON_DECODER = json.JSONDecoder()
 
 
@@ -288,15 +291,15 @@ class Simulation:
 
     # The step cycle
 
-    def _with_context(self, exc: ProviderError, agent_id: str, index: int):
-        exc.args = (f"[agent={agent_id} step={index}] {exc}",)
-        return exc
-
-    def step_agent(self, step_index: int) -> InteractionLogEntry:
+    def step_agent(
+        self, step_index: int
+    ) -> Generator[list[ChatMessage], str, InteractionLogEntry]:
         """Run the agent of dataset step ``step_index`` through the full cycle.
 
-        It writes only that agent's state: its role, store, working memory
-        and location.
+        The step yields each provider request (action, memory update, role
+        update), is sent the answer, and returns its log entry; a malformed
+        answer raises ``ProviderError``. It writes only that agent's state:
+        its role, store, working memory and location.
         """
         step = self.dataset.steps[step_index]
         agent_id = step.agent_id
@@ -317,16 +320,11 @@ class Simulation:
         prompt = assemble_prompt(
             self.system_messages[agent_id], wm, situation, retrieved
         )
-        try:
-            response = self.provider.complete(prompt, self.gen_params)
-        except ProviderError as exc:
-            raise self._with_context(exc, agent_id, step_index)
+        response = yield prompt
         # A blank or missing answer cannot be a turn: abort the run as for any
         # provider failure, so the last completed slot stays the resume point.
         if not isinstance(response, str) or not response.strip():
-            raise self._with_context(
-                ProviderError(f"blank action answer: {response!r}"), agent_id, step_index
-            )
+            raise ProviderError(f"blank action answer: {response!r}")
 
         # 4. Working memory holds the bare situation, matching transcripts.
         wm.append_turn(situation, response)
@@ -339,20 +337,11 @@ class Simulation:
             update_prompt = MEMORY_UPDATE_TEMPLATE.format(
                 situation=situation, recent=response
             )
-            try:
-                update_text = self.provider.complete(
-                    [ChatMessage("user", update_prompt)], self.gen_params
-                )
-            except ProviderError as exc:
-                raise self._with_context(exc, agent_id, step_index)
+            update_text = yield [ChatMessage("user", update_prompt)]
             # A blank answer is an unparseable update; a missing one is a
             # provider failure.
             if not isinstance(update_text, str):
-                raise self._with_context(
-                    ProviderError(f"non-string memory-update answer: {update_text!r}"),
-                    agent_id,
-                    step_index,
-                )
+                raise ProviderError(f"non-string memory-update answer: {update_text!r}")
             try:
                 update = parse_memory_update(update_text)
             except MemoryUpdateError as exc:
@@ -387,12 +376,8 @@ class Simulation:
         role_updated = None
         if step.time.slot is Slot.EXTRACURRICULAR:
             summary = self._reflection_summary(agent_id, step.time.day, response)
-            try:
-                role_updated = update_role_setting(
-                    role, summary, self.provider, self.gen_params
-                )
-            except ProviderError as exc:
-                raise self._with_context(exc, agent_id, step_index)
+            answer = yield role_update_request(role, summary)
+            role_updated = apply_role_update(role, answer)
             if role_updated:
                 self.system_messages[agent_id] = system_message(role)
 
@@ -482,25 +467,42 @@ class Simulation:
     def _run_slot(self, group: list[int], pool: Executor | None) -> None:
         """Step every agent of one slot; the slot's entries join the log at the end.
 
-        An agent's steps of the slot form one chain that runs in dataset
-        order on one thread; chains of different agents share no state, so
-        they may run in parallel on ``pool``. Steps are sorted by (slot,
-        agent), so the chains joined in order are the slot's steps in
-        dataset order.
+        Round r holds each agent's r-th step of the slot, so the steps of a
+        round share no state. They all run on this thread: whenever each
+        waits on a provider answer, their requests go out as one batch, on
+        ``pool`` when there is one, and each step is sent its answer. A failed
+        call ends its batch, and the calls not yet started are never made.
         """
-        chains: dict[str, list[int]] = {}
+        rounds: list[list[int]] = []
+        seen: dict[str, int] = {}
         for index in group:
-            chains.setdefault(self.dataset.steps[index].agent_id, []).append(index)
-
-        def run_chain(chain: list[int]) -> list[InteractionLogEntry]:
-            return [self.step_agent(index) for index in chain]
-
-        if pool is None or len(chains) == 1:
-            results = list(map(run_chain, chains.values()))
-        else:
-            results = list(pool.map(run_chain, chains.values()))
-        for entries in results:
-            self.entries.extend(entries)
+            agent_id = self.dataset.steps[index].agent_id
+            r = seen[agent_id] = seen.get(agent_id, -1) + 1
+            if r == len(rounds):
+                rounds.append([])
+            rounds[r].append(index)
+        complete = partial(self.provider.complete, params=self.gen_params)
+        entries: dict[int, InteractionLogEntry] = {}
+        try:
+            for indices in rounds:
+                steps = {index: self.step_agent(index) for index in indices}
+                answers = dict.fromkeys(indices)
+                while steps:
+                    requests = {}
+                    for index, step in steps.items():
+                        try:
+                            requests[index] = step.send(answers[index])
+                        except StopIteration as done:
+                            entries[index] = done.value
+                    steps = {index: steps[index] for index in requests}
+                    results = (pool.map if pool else map)(complete, requests.values())
+                    for index in requests:
+                        answers[index] = next(results)
+        except ProviderError as exc:
+            agent_id = self.dataset.steps[index].agent_id
+            exc.args = (f"[agent={agent_id} step={index}] {exc}",)
+            raise
+        self.entries.extend(entries[index] for index in group)
         self.completed_steps += len(group)
 
     # Outputs, checkpointing, resuming
@@ -713,8 +715,9 @@ class ReplayBundle(Provider):
 
     Transcripts only record action answers, so memory-update prompts get the
     fixture's canned empty update and role-update prompts its "no significant
-    change" answer. Per-agent cursors make the bundle safe under slot-parallel
-    stepping (one thread per agent); exhausting an agent's answers raises.
+    change" answer. Each agent has its own cursor, so the order in which a
+    slot's agents are asked does not matter; exhausting an agent's answers
+    raises.
     """
 
     def __init__(self, answers_by_agent: dict[str, list[str]], name: str = "replay"):

@@ -10,14 +10,15 @@ from schoolsim.agent import (
     STUDENT_FIELDS,
     TEACHER_FIELDS,
     WorkingMemory,
+    apply_role_update,
     assemble_prompt,
     generate_role,
     load_role,
     parse_role_text,
+    role_update_request,
     save_role,
     serialize_role,
     system_message,
-    update_role_setting,
 )
 from schoolsim.errors import EmptyTextError, RoleParseError
 from schoolsim.llm import ScriptedProvider
@@ -128,7 +129,8 @@ def test_role_text_field_names_are_exact():
 def test_update_role_unchanged_marker_case_insensitive():
     role = make_teacher()
     provider = ScriptedProvider({}, fallback="The role setting REMAINS LARGELY UNCHANGED.")
-    changed = update_role_setting(role, "steady day", provider)
+    request = role_update_request(role, "steady day")
+    changed = apply_role_update(role, provider.complete(request))
     assert changed is False
     assert role.mutable_aspects == []
 
@@ -136,7 +138,8 @@ def test_update_role_unchanged_marker_case_insensitive():
 def test_update_role_appends_aspect():
     role = make_teacher()
     provider = ScriptedProvider({}, fallback="Became more patient with slower groups.")
-    changed = update_role_setting(role, "reflection", provider)
+    request = role_update_request(role, "reflection")
+    changed = apply_role_update(role, provider.complete(request))
     assert changed is True
     assert role.mutable_aspects == ["Became more patient with slower groups."]
 
@@ -146,7 +149,8 @@ def test_update_role_rejects_identity_changes():
     provider = ScriptedProvider(
         {}, fallback="Full Name: Someone Else\nMore open to group work."
     )
-    changed = update_role_setting(role, "reflection", provider)
+    request = role_update_request(role, "reflection")
+    changed = apply_role_update(role, provider.complete(request))
     assert changed is True
     assert role.attributes["Full Name"] == "Wang Lihua"
     assert role.mutable_aspects == ["More open to group work."]
@@ -154,7 +158,7 @@ def test_update_role_rejects_identity_changes():
 
 def test_update_role_requires_summary():
     with pytest.raises(EmptyTextError):
-        update_role_setting(make_teacher(), "   ", ScriptedProvider({}, fallback="x"))
+        role_update_request(make_teacher(), "   ")
 
 
 def _profile_text(fields) -> str:
@@ -203,7 +207,8 @@ def test_identity_fields_fixed_across_update_sequences():
         "Age: 99\nKeeps a tighter pace in labs.",
     ]
     for text in responses:
-        update_role_setting(role, "day summary", ScriptedProvider({}, fallback=text))
+        request = role_update_request(role, "day summary")
+        apply_role_update(role, ScriptedProvider({}, fallback=text).complete(request))
     assert role.attributes["Full Name"] == "Wang Lihua"
     assert role.attributes["Gender"] == "female"
     assert role.attributes["Age"] == "41"

@@ -11,7 +11,7 @@ from schoolsim.agent import TEACHER_FIELDS, load_role
 from schoolsim.cli import _provider_factory, _warn_unused_jobs, main
 from schoolsim.config import config_by_id
 from schoolsim.dataset import Dataset, load_standard_group
-from schoolsim.fixtures import MemoryGatedProvider
+from schoolsim.fixtures import MemoryGatedProvider, build_fixture
 from schoolsim.llm import HttpProvider
 from schoolsim.simulation import run_simulation
 from schoolsim.prompts import ROLE_GENERATION_TEACHER
@@ -474,6 +474,56 @@ def test_malformed_input_files_are_reported_without_a_traceback(
     assert result.exit_code == exit_code
     assert "Error: " in result.output
     assert message in result.output
+
+
+_RUN_FX = ["run", "--dataset", "fx", "--config-id", "1", "--out", "out", "--provider"]
+_REMOTE = [*_RUN_FX, "remote", "--providers-file", "providers.ini"]
+
+
+@pytest.mark.parametrize(
+    "files, args, bad",
+    [
+        pytest.param(
+            {"fx/gated_script.json": '{"generic_answer": "x", "actions": {}, "updates": {}}'},
+            [*_RUN_FX, "memory-gated"],
+            "fx/gated_script.json",
+            id="gated-script-without-role-update-response",
+        ),
+        pytest.param(
+            {"providers.ini": "[remote]\ntype = http\nmodel = m\n"}, _REMOTE,
+            "providers.ini", id="http-section-without-url",
+        ),
+        pytest.param(
+            {"providers.ini": "not an ini file\n"}, _REMOTE, "providers.ini",
+            id="providers-file-not-ini",
+        ),
+        pytest.param(
+            {"script.json": "not json"}, [*_RUN_FX, "scripted:script.json"], "script.json",
+            id="scripted-file-not-json",
+        ),
+        pytest.param(
+            {"key.json": "not json", "votes.json": "{}"}, _TALLY, "key.json",
+            id="tally-key-not-json",
+        ),
+        pytest.param(
+            {"fx/roles/t01.txt": "not a role\n"}, [*_RUN_FX, "memory-gated"],
+            "fx/roles/t01.txt", id="role-file-malformed",
+        ),
+    ],
+)
+def test_malformed_provider_and_role_files_are_named_without_a_traceback(
+    runner, tmp_path, monkeypatch, files, args, bad
+):
+    monkeypatch.chdir(tmp_path)
+    build_fixture("fx", teachers=1, students=1, days=1, seed=0)
+    for name, text in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+    result = runner.invoke(main, args)
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code == 1
+    assert f"Error: {bad}: " in result.output
+    # No run started, so there is nothing to resume.
+    assert "resume" not in result.output
 
 
 def test_gen_roles_with_scripted_provider(runner, tmp_path):

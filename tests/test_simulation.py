@@ -3,6 +3,7 @@ from __future__ import annotations
 import builtins
 import dataclasses
 import json
+import re
 import shutil
 import sys
 import threading
@@ -16,7 +17,7 @@ from conftest import load_roles_dir
 from schoolsim.agent import serialize_role
 from schoolsim.config import config_by_id, config_matrix
 from schoolsim.dataset import load_standard_group, take_steps
-from schoolsim.environment import format_situation_header, parse_situation_header
+from schoolsim.environment import Slot, format_situation_header, parse_situation_header
 from schoolsim.errors import (
     MissingFieldError,
     NoJsonFoundError,
@@ -27,7 +28,7 @@ from schoolsim.errors import (
 from schoolsim.embedding import HashedBagEmbedder, shared_embedder
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
 from schoolsim.llm import ChatMessage, GenParams, HttpProvider, Provider, ScriptedProvider
-from schoolsim.memory import MemoryUpdate
+from schoolsim.memory import MemoryStore, MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
     ReplayBundle,
@@ -766,28 +767,42 @@ def test_two_steps_per_agent_in_a_slot_do_not_depend_on_jobs(tmp_path, mini_fixt
     assert _manifest_without_clock(runs[0]) == _manifest_without_clock(runs[1])
 
 
+def _kind(messages) -> str:
+    content = messages[-1].content
+    if content.startswith(MEMORY_UPDATE_HEADER):
+        return "memory-update"
+    return "role-update" if content.startswith(ROLE_UPDATE_HEADER) else "action"
+
+
 class _GatedHandler(BaseHTTPRequestHandler):
     """Answers each chat request with ``provider``, except action call
-    number ``fail_at`` (counted from 0), which gets a 400."""
+    number ``fail_at`` (counted from 0), which gets a 400. ``requests`` logs
+    each request's kind as it arrives, and ``refused_at`` the position of the
+    400 in that log."""
 
     provider: Provider
     fail_at: int | None
     actions: int
+    requests: list[str]
+    refused_at: int | None
     lock: threading.Lock
 
     def do_POST(self):  # noqa: N802
         body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
         messages = [ChatMessage(m["role"], m["content"]) for m in body["messages"]]
         handler = type(self)
-        if not messages[-1].content.startswith((MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER)):
-            with handler.lock:
-                failing = handler.actions == handler.fail_at
-                handler.actions += 1
+        kind = _kind(messages)
+        with handler.lock:
+            failing = kind == "action" and handler.actions == handler.fail_at
+            handler.actions += kind == "action"
             if failing:
-                self.send_response(400)
-                self.end_headers()
-                self.wfile.write(b"refused")
-                return
+                handler.refused_at = len(handler.requests)
+            handler.requests.append(kind)
+        if failing:
+            self.send_response(400)
+            self.end_headers()
+            self.wfile.write(b"refused")
+            return
         encoded = json.dumps({"text": handler.provider.complete(messages)}).encode()
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
@@ -810,6 +825,8 @@ def gated_server(mini_fixture):
             "provider": MemoryGatedProvider.from_file(mini_fixture.script_path),
             "fail_at": None,
             "actions": 0,
+            "requests": [],
+            "refused_at": None,
             "lock": threading.Lock(),
         },
     )
@@ -872,6 +889,92 @@ def test_a_4xx_partway_through_a_slot_under_four_jobs_resumes_to_the_uninterrupt
     run(aborted, resume=True)
     assert _run_dir_files(aborted) == _run_dir_files(reference)
     assert _manifest_without_clock(aborted) == _manifest_without_clock(reference)
+
+
+def test_a_4xx_under_four_jobs_ends_the_requests_of_its_batch(
+    tmp_path, mini_dataset, mini_fixture, gated_server
+):
+    url, handler = gated_server
+    jobs = 4
+    slot_starts = [slot[0] for slot in _slots(mini_dataset)]
+    # The third action of the fourth slot gets the 400.
+    handler.fail_at = slot_starts[3] + 2
+    provider = HttpProvider(url, model="gated", jobs=jobs)
+    with pytest.raises(ProviderError, match="client error 400"):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=tmp_path / "run")
+    # Only calls of the failed batch that were already under way may follow it.
+    after = handler.requests[handler.refused_at + 1 :]
+    assert "memory-update" not in after and "role-update" not in after
+    assert len(after) <= jobs - 1
+
+
+def _slots(dataset) -> list[list[int]]:
+    """The step indices of each slot, in dataset order."""
+    slots: list[list[int]] = []
+    for index, step in enumerate(dataset.steps):
+        if not slots or step.time != dataset.steps[index - 1].time:
+            slots.append([])
+        slots[-1].append(index)
+    return slots
+
+
+def test_the_step_cycle_runs_on_the_calling_thread_under_four_jobs(
+    mini_dataset, mini_roles, gated_provider, monkeypatch
+):
+    caller = threading.current_thread()
+    threads: dict[str, set] = {}
+    for owner, name in (
+        (HashedBagEmbedder, "embed"),
+        (MemoryStore, "apply_update"),
+        (MemoryGatedProvider, "complete"),
+    ):
+        def traced(*args, _method=getattr(owner, name), _name=name, **kwargs):
+            threads.setdefault(_name, set()).add(threading.current_thread())
+            return _method(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, traced)
+    gated_provider.jobs = 4
+    Simulation(mini_dataset, mini_roles, gated_provider, config_by_id(1), seed=0).run()
+    assert threads["embed"] == threads["apply_update"] == {caller}
+    # The provider calls went to the pool.
+    assert caller not in threads["complete"]
+
+
+def test_a_slot_asks_for_its_actions_then_its_updates_then_its_role_updates(
+    tmp_path, mini_dataset, mini_roles, gated_provider
+):
+    steps = mini_dataset.steps
+    step_of = {step.user: index for index, step in enumerate(steps)}
+    calls = []
+
+    class Recording(Provider):
+        name = gated_provider.name
+
+        def complete(self, messages, params=None):
+            content, kind = messages[-1].content, _kind(messages)
+            if kind == "action":
+                calls.append((kind, step_of[content.partition("\n\nRelevant memories:")[0]]))
+            elif kind == "memory-update":
+                situation = content.split("Current Situation:\n")[1].split("\n\nRecent")[0]
+                calls.append((kind, step_of[situation]))
+            else:
+                calls.append((kind, re.search(r"^Agent ID: (\S+)$", content, re.M)[1]))
+            return gated_provider.complete(messages, params)
+
+    out = tmp_path / "run"
+    Simulation(mini_dataset, mini_roles, Recording(), config_by_id(1), seed=0).run(out)
+    expected = []
+    for slot in _slots(mini_dataset):
+        # One step per agent: the slot is one round.
+        assert len({steps[index].agent_id for index in slot}) == len(slot)
+        expected += [("action", index) for index in slot]
+        expected += [("memory-update", index) for index in slot]
+        if steps[slot[0]].time.slot is Slot.EXTRACURRICULAR:
+            expected += [("role-update", steps[index].agent_id) for index in slot]
+    assert calls == expected
+    counters = json.loads((out / "manifest.json").read_text("utf-8"))["counters"]
+    kinds = ("action_calls", "memory_update_calls", "role_update_calls")
+    assert len(calls) == sum(counters[kind] for kind in kinds)
 
 
 def _run_counters(entries: list[dict]) -> dict:
