@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .config import BaseStructure, SimulationConfig, config_by_id, config_matrix
 from .embedding import HashedBagEmbedder, cosine
 from .evaluation import CheckpointReport, RougeScore, checkpoints, lcs_length, rouge_l
-from .llm import ChatMessage, GenParams, Provider, ScriptedProvider
+from .llm import ChatMessage, GenParams, Provider, Request, ScriptedProvider
 from .memory import MemoryKind, MemoryRecord, MemoryStore, MemoryUpdate, RetrievalPolicy
 from .simulation import (
     InteractionLog,
@@ -36,6 +36,7 @@ __all__ = [
     "MemoryUpdate",
     "Provider",
     "ReplayBundle",
+    "Request",
     "RetrievalPolicy",
     "RougeScore",
     "ScriptedProvider",

@@ -18,6 +18,7 @@ provider may have in flight; every other provider answers one at a time.
 from __future__ import annotations
 
 import configparser
+import copy
 import json
 import logging
 from functools import partial
@@ -75,10 +76,14 @@ def _log_responses(path: str) -> tuple[dict, list[str]]:
         raise click.ClickException(f"cannot read log {path}: {exc}")
 
 
-def _load_roles(dataset: Dataset, roles_dir: Path) -> dict:
+def _load_roles(dataset: Dataset, root: Path, roles_dir: str | None) -> dict:
+    """The role of each agent, from ``roles_dir`` or the dataset's roles."""
+    roles_path = Path(roles_dir) if roles_dir else root / ROLES_DIRNAME
+    if not roles_path.is_dir():
+        raise click.ClickException(f"no roles directory at {roles_path}")
     roles = {}
     for agent_id in dataset.agent_ids:
-        role_path = roles_dir / f"{agent_id}.txt"
+        role_path = roles_path / f"{agent_id}.txt"
         if not role_path.exists():
             raise click.ClickException(f"missing role file: {role_path}")
         try:
@@ -275,25 +280,6 @@ def _warn_unused_jobs(provider: Provider, jobs: int) -> int:
     return provider.jobs
 
 
-def _run_one(
-    dataset: Dataset,
-    root: Path,
-    config: SimulationConfig,
-    provider: Provider,
-    seed: int,
-    out_dir: Path,
-    roles_dir: Path | None,
-    resume: bool,
-):
-    roles_path = roles_dir or (root / ROLES_DIRNAME)
-    if not roles_path.is_dir():
-        raise click.ClickException(f"no roles directory at {roles_path}")
-    roles = _load_roles(dataset, roles_path)
-    return run_simulation(
-        dataset, roles, provider, config, seed=seed, out_dir=out_dir, resume=resume
-    )
-
-
 @main.command("run")
 @click.option("--dataset", "dataset_path", required=True, type=click.Path(exists=True))
 @click.option("--config-id", type=int, default=None)
@@ -325,15 +311,9 @@ def run_cmd(
     try:
         provider = factory()
         _warn_unused_jobs(provider, jobs)
-        log = _run_one(
-            dataset,
-            root,
-            config,
-            provider,
-            seed,
-            out_dir,
-            Path(roles_dir) if roles_dir else None,
-            resume,
+        roles = _load_roles(dataset, root, roles_dir)
+        log = run_simulation(
+            dataset, roles, provider, config, seed=seed, out_dir=out_dir, resume=resume
         )
     except SchoolSimError as exc:
         raise click.ClickException(
@@ -364,6 +344,7 @@ def matrix(
     """Run all nine configurations, evaluate each, render a combined report."""
     dataset, root = _load_dataset(dataset_path)
     factory = _provider_factory(provider_name, dataset, root, providers_file, jobs)
+    roles = _load_roles(dataset, root, roles_dir)
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = []
@@ -373,15 +354,9 @@ def matrix(
         try:
             provider = factory()
             jobs = _warn_unused_jobs(provider, jobs)
-            log = _run_one(
-                dataset,
-                root,
-                config,
-                provider,
-                seed,
-                run_dir,
-                Path(roles_dir) if roles_dir else None,
-                resume=False,
+            # A run evolves its roles, so each config starts from a copy.
+            log = run_simulation(
+                dataset, copy.deepcopy(roles), provider, config, seed=seed, out_dir=run_dir
             )
             reports.append(
                 evaluate_run(log, dataset, interval_percent=int(interval))

@@ -191,6 +191,8 @@ def load_standard_group(path: str | Path) -> Dataset:
             raw = json.loads(file_path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise SchemaError(str(file_path), exc.pos, f"invalid JSON: {exc.msg}") from None
+        except UnicodeDecodeError as exc:
+            raise SchemaError(str(file_path), exc.start, f"not UTF-8: {exc.reason}") from None
         transcript = _validate_transcript(str(file_path), agent_id, raw)
         kind = _kind_of(str(file_path), transcript)
         dataset.transcripts[agent_id] = transcript

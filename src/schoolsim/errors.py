@@ -56,10 +56,6 @@ class ScriptMissError(ProviderError):
     """Scripted provider has no entry for the derived key and no fallback."""
 
 
-class ReplayExhaustedError(ProviderError):
-    """Replay provider ran out of recorded answers."""
-
-
 # Role / prompt errors
 
 

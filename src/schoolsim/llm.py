@@ -1,5 +1,9 @@
 """Chat-completion provider abstraction.
 
+A run asks its provider through ``Provider.respond(request)``; a ``Request``
+names its kind, its dataset step and its messages. ``respond`` defaults to
+``complete(request.messages)``, the one method every provider must define.
+
 Ships the deterministic offline ``ScriptedProvider`` and a generic HTTP
 client for any endpoint speaking the common chat-completions shape; the
 replay and memory-gated providers live in ``simulation`` and ``fixtures``.
@@ -56,6 +60,16 @@ class GenParams:
     seed: int | None = None
 
 
+@dataclass(frozen=True)
+class Request:
+    """One provider call of a step: its kind ("action", "update" or
+    "role_update"), the dataset step it belongs to, and its messages."""
+
+    kind: str
+    step_index: int
+    messages: list[ChatMessage]
+
+
 class Provider(ABC):
     """Behavior contract: complete(messages, params) -> text."""
 
@@ -67,6 +81,10 @@ class Provider(ABC):
     def complete(
         self, messages: Sequence[ChatMessage], params: GenParams | None = None
     ) -> str: ...
+
+    def respond(self, request: Request, params: GenParams | None = None) -> str:
+        """The answer to one request of a run: by default, to its messages."""
+        return self.complete(request.messages, params)
 
 
 def last_user_content(messages: Sequence[ChatMessage]) -> str:

@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import os
-import re
 import shutil
 from collections.abc import Generator
 from concurrent.futures import Executor, ThreadPoolExecutor
@@ -49,12 +48,11 @@ from .errors import (
     MissingFieldError,
     NoJsonFoundError,
     ProviderError,
-    ReplayExhaustedError,
     UnknownAreaError,
     WrongTypeError,
 )
 from .fixtures import EMPTY_UPDATE_JSON, ROLE_UNCHANGED_RESPONSE
-from .llm import ChatMessage, GenParams, Provider
+from .llm import ChatMessage, GenParams, Provider, Request
 from .memory import (
     DEFAULT_SALIENCE_DECAY,
     DEFAULT_SHORT_TERM_CAPACITY,
@@ -63,7 +61,7 @@ from .memory import (
     MemoryUpdate,
     RetrievalPolicy,
 )
-from .prompts import MEMORY_UPDATE_HEADER, MEMORY_UPDATE_TEMPLATE, ROLE_UPDATE_HEADER
+from .prompts import MEMORY_UPDATE_TEMPLATE
 
 logger = logging.getLogger(__name__)
 
@@ -291,12 +289,10 @@ class Simulation:
 
     # The step cycle
 
-    def step_agent(
-        self, step_index: int
-    ) -> Generator[list[ChatMessage], str, InteractionLogEntry]:
+    def step_agent(self, step_index: int) -> Generator[Request, str, InteractionLogEntry]:
         """Run the agent of dataset step ``step_index`` through the full cycle.
 
-        The step yields each provider request (action, memory update, role
+        The step yields each provider ``Request`` (action, memory update, role
         update), is sent the answer, and returns its log entry; a malformed
         answer raises ``ProviderError``. It writes only that agent's state:
         its role, store, working memory and location.
@@ -320,7 +316,7 @@ class Simulation:
         prompt = assemble_prompt(
             self.system_messages[agent_id], wm, situation, retrieved
         )
-        response = yield prompt
+        response = yield Request("action", step_index, prompt)
         # A blank or missing answer cannot be a turn: abort the run as for any
         # provider failure, so the last completed slot stays the resume point.
         if not isinstance(response, str) or not response.strip():
@@ -337,7 +333,9 @@ class Simulation:
             update_prompt = MEMORY_UPDATE_TEMPLATE.format(
                 situation=situation, recent=response
             )
-            update_text = yield [ChatMessage("user", update_prompt)]
+            update_text = yield Request(
+                "update", step_index, [ChatMessage("user", update_prompt)]
+            )
             # A blank answer is an unparseable update; a missing one is a
             # provider failure.
             if not isinstance(update_text, str):
@@ -376,7 +374,9 @@ class Simulation:
         role_updated = None
         if step.time.slot is Slot.EXTRACURRICULAR:
             summary = self._reflection_summary(agent_id, step.time.day, response)
-            answer = yield role_update_request(role, summary)
+            answer = yield Request(
+                "role_update", step_index, role_update_request(role, summary)
+            )
             role_updated = apply_role_update(role, answer)
             if role_updated:
                 self.system_messages[agent_id] = system_message(role)
@@ -481,7 +481,7 @@ class Simulation:
             if r == len(rounds):
                 rounds.append([])
             rounds[r].append(index)
-        complete = partial(self.provider.complete, params=self.gen_params)
+        respond = partial(self.provider.respond, params=self.gen_params)
         entries: dict[int, InteractionLogEntry] = {}
         try:
             for indices in rounds:
@@ -495,7 +495,7 @@ class Simulation:
                         except StopIteration as done:
                             entries[index] = done.value
                     steps = {index: steps[index] for index in requests}
-                    results = (pool.map if pool else map)(complete, requests.values())
+                    results = (pool.map if pool else map)(respond, requests.values())
                     for index in requests:
                         answers[index] = next(results)
         except ProviderError as exc:
@@ -598,7 +598,10 @@ class Simulation:
         lines = journal_path.read_bytes().split(b"\n")[:-1]
         if not lines:
             raise ValueError(f"no committed slot to resume in {journal_path}")
-        header = json.loads(lines[0])
+        try:
+            header = json.loads(lines[0])
+        except ValueError:
+            raise _not_json(journal_path, lines) from None
         if header.get("format") != CHECKPOINT_FORMAT:
             raise ValueError(
                 f"{journal_path} is a {header.get('format')} journal, not "
@@ -616,11 +619,15 @@ class Simulation:
             last -= 1
         if last == 0:
             raise ValueError(f"no committed slot to resume in {journal_path}")
-        state = json.loads(lines[last])["commit"]
+        record_lines = [line for line in lines[1:last] if not line.startswith(_COMMIT_PREFIX)]
+        try:
+            state = json.loads(lines[last])["commit"]
+            records = _json_array(record_lines)
+        except ValueError:
+            raise _not_json(journal_path, lines[: last + 1]) from None
         journal_bytes = sum(len(line) + 1 for line in lines[: last + 1])
         rows: dict[str, list[dict]] = {agent_id: [] for agent_id in self.stores}
-        records = [line for line in lines[1:last] if not line.startswith(_COMMIT_PREFIX)]
-        for row in _json_array(records):
+        for row in records:
             rows[row["agent"]].append(row)
 
         log_path = out_path / LOG_FILENAME
@@ -630,7 +637,11 @@ class Simulation:
             raise ValueError(
                 f"{log_path} holds {len(log_data)} bytes, fewer than {state['log_bytes']}"
             )
-        raw_entries = _json_array(log_data.split(b"\n")[1:-1])
+        log_lines = log_data.split(b"\n")
+        try:
+            raw_entries = _json_array(log_lines[1:-1])
+        except ValueError:
+            raise _not_json(log_path, log_lines[:-1]) from None
         if len(raw_entries) != state["completed_steps"]:
             raise ValueError(
                 f"{log_path} holds {len(raw_entries)} committed entries, "
@@ -686,6 +697,17 @@ def _json_array(lines: list[bytes]) -> list:
     return json.loads(b"[" + b",".join(lines) + b"]")
 
 
+def _not_json(path: Path, lines: list[bytes]) -> ValueError:
+    """The error naming the first of ``lines``, the lines of ``path`` from its
+    first, that is not UTF-8 JSON. Only a failed parse calls this."""
+    for number, line in enumerate(lines, start=1):
+        try:
+            json.loads(line)
+        except ValueError as exc:
+            return ValueError(f"{path}: line {number} is not JSON: {exc}")
+    return ValueError(f"{path} is not JSON")
+
+
 def _restored_prompt(
     raw: list[dict], system: ChatMessage | None, turns: list[ChatMessage]
 ) -> list[ChatMessage]:
@@ -707,48 +729,32 @@ def _entry_from_dict(raw: dict, prompt: list[ChatMessage]) -> InteractionLogEntr
     return InteractionLogEntry(**{**raw, "time": time, "prompt": prompt})
 
 
-_AGENT_ID_RE = re.compile(r"^Agent ID:\s*(.+?)\s*$", re.MULTILINE)
-
-
 class ReplayBundle(Provider):
-    """Replays each agent's recorded answers in order, routed by agent id.
+    """Answers each action request with the reference of its dataset step.
 
-    Transcripts only record action answers, so memory-update prompts get the
-    fixture's canned empty update and role-update prompts its "no significant
-    change" answer. Each agent has its own cursor, so the order in which a
-    slot's agents are asked does not matter; exhausting an agent's answers
-    raises.
+    Transcripts only record action answers, so a memory update gets the
+    fixture's canned empty update and a role update its "no significant
+    change" answer. An answer depends on the request alone, so a resumed run
+    gets the answers an uninterrupted one does.
     """
 
-    def __init__(self, answers_by_agent: dict[str, list[str]], name: str = "replay"):
-        self._answers = {agent_id: list(a) for agent_id, a in answers_by_agent.items()}
-        self._cursors = dict.fromkeys(self._answers, 0)
+    def __init__(self, references: list[str], name: str = "replay"):
+        self._references = list(references)
         self.name = name
 
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "ReplayBundle":
-        answers: dict[str, list[str]] = {a: [] for a in dataset.agent_ids}
-        for step in dataset.steps:
-            answers[step.agent_id].append(step.reference)
-        return cls(answers)
+        return cls(dataset.reference_answers())
+
+    def respond(self, request: Request, params: GenParams | None = None) -> str:
+        if request.kind == "update":
+            return EMPTY_UPDATE_JSON
+        if request.kind == "role_update":
+            return ROLE_UNCHANGED_RESPONSE
+        return self._references[request.step_index]
 
     def complete(self, messages, params: GenParams | None = None) -> str:
-        content = messages[-1].content
-        if content.startswith(MEMORY_UPDATE_HEADER):
-            return EMPTY_UPDATE_JSON
-        if content.startswith(ROLE_UPDATE_HEADER):
-            return ROLE_UNCHANGED_RESPONSE
-        match = _AGENT_ID_RE.search(messages[0].content)
-        if not match or match.group(1) not in self._answers:
-            raise ProviderError("replay bundle cannot identify the acting agent")
-        agent_id = match.group(1)
-        answers, index = self._answers[agent_id], self._cursors[agent_id]
-        if index >= len(answers):
-            raise ReplayExhaustedError(
-                f"replay of {agent_id} exhausted after {len(answers)} answers"
-            )
-        self._cursors[agent_id] = index + 1
-        return answers[index]
+        raise ProviderError("a replay bundle answers a run's requests, not a bare prompt")
 
 
 def run_simulation(

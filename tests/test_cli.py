@@ -82,13 +82,20 @@ def test_validate_rejects_broken_dataset(runner, tmp_path):
     assert "non-empty JSON array" in result.output
 
 
+DATASET_COMMANDS = ["validate", "run", "matrix", "evaluate", "export-human-eval"]
+
+
 @pytest.mark.parametrize(
-    "command", ["validate", "run", "matrix", "evaluate", "export-human-eval"]
+    "command, content, reason",
+    [pytest.param(c, b"[{", "invalid JSON", id=c) for c in DATASET_COMMANDS]
+    + [pytest.param(c, b"\xff\xfe", "not UTF-8", id=f"{c}-not-utf8") for c in DATASET_COMMANDS],
 )
-def test_every_dataset_command_reports_a_malformed_dataset(runner, tmp_path, command):
+def test_every_dataset_command_reports_a_malformed_dataset(
+    runner, tmp_path, command, content, reason
+):
     bad = tmp_path / "bad"
     bad.mkdir()
-    (bad / "x01.json").write_text("[{", encoding="utf-8")
+    (bad / "x01.json").write_bytes(content)
     log = tmp_path / "log.jsonl"
     log.write_text("", encoding="utf-8")
     out = str(tmp_path / "out")
@@ -102,7 +109,7 @@ def test_every_dataset_command_reports_a_malformed_dataset(runner, tmp_path, com
     result = runner.invoke(main, [command, "--dataset", str(bad), *extra])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit), result.exception
-    assert "Error: " in result.output and "invalid JSON" in result.output
+    assert f"Error: {bad / 'x01.json'}[" in result.output and reason in result.output
     assert "Traceback" not in result.output
 
 
@@ -508,6 +515,11 @@ _REMOTE = [*_RUN_FX, "remote", "--providers-file", "providers.ini"]
         pytest.param(
             {"fx/roles/t01.txt": "not a role\n"}, [*_RUN_FX, "memory-gated"],
             "fx/roles/t01.txt", id="role-file-malformed",
+        ),
+        pytest.param(
+            {"fx/roles/t01.txt": "not a role\n"},
+            ["matrix", "--dataset", "fx", "--out", "out", "--provider", "replay"],
+            "fx/roles/t01.txt", id="matrix-role-file-malformed",
         ),
     ],
 )

@@ -6,11 +6,12 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 
-from schoolsim.errors import ProviderHTTPError, ReplayExhaustedError, ScriptMissError
+from schoolsim.errors import ProviderError, ProviderHTTPError, ScriptMissError
 from schoolsim.llm import (
     ChatMessage,
     GenParams,
     HttpProvider,
+    Request,
     ScriptedProvider,
     validate_messages,
 )
@@ -63,17 +64,13 @@ def test_scripted_determinism():
     assert outputs == {"A"}
 
 
-def test_replay_emits_answers_in_order_then_exhausts():
-    provider = ReplayBundle({"t01": ["a1", "a2", "a3"], "s01": ["b1"]})
-
-    def ask(agent_id: str, text: str) -> str:
-        return provider.complete([ChatMessage("system", f"Agent ID: {agent_id}"), *user(text)])
-
-    got = [ask("t01", f"q{i}") for i in range(3)]
-    assert got == ["a1", "a2", "a3"]
-    with pytest.raises(ReplayExhaustedError, match="t01"):
-        ask("t01", "q4")
-    assert ask("s01", "q1") == "b1"
+def test_replay_answers_by_step_and_refuses_a_bare_prompt():
+    provider = ReplayBundle(["a0", "b1", "a2"])
+    # The answer is the step's, in any order and as often as it is asked.
+    got = [provider.respond(Request("action", i, user("q"))) for i in (2, 0, 1, 2)]
+    assert got == ["a2", "a0", "b1", "a2"]
+    with pytest.raises(ProviderError, match="bare prompt"):
+        provider.complete([ChatMessage("system", "Agent ID: t01"), *user("q")])
 
 
 class _FlakyHandler(BaseHTTPRequestHandler):

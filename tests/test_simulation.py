@@ -27,7 +27,14 @@ from schoolsim.errors import (
 )
 from schoolsim.embedding import HashedBagEmbedder, shared_embedder
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
-from schoolsim.llm import ChatMessage, GenParams, HttpProvider, Provider, ScriptedProvider
+from schoolsim.llm import (
+    ChatMessage,
+    GenParams,
+    HttpProvider,
+    Provider,
+    Request,
+    ScriptedProvider,
+)
 from schoolsim.memory import MemoryStore, MemoryUpdate
 from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
@@ -254,6 +261,27 @@ class _AbortAtAction(Provider):
         return self.inner.complete(messages, params)
 
 
+class _AbortAt(Provider):
+    """``inner``, raising at its request number ``abort_at`` (from 0) of ``kind``."""
+
+    def __init__(self, inner: Provider, kind: str, abort_at: int):
+        self.inner = inner
+        self.name = inner.name
+        self.kind = kind
+        self.abort_at = abort_at
+        self.seen = 0
+
+    def complete(self, messages, params=None):
+        return self.inner.complete(messages, params)
+
+    def respond(self, request, params=None):
+        if request.kind == self.kind:
+            if self.seen == self.abort_at:
+                raise ProviderError("synthetic outage")
+            self.seen += 1
+        return self.inner.respond(request, params)
+
+
 def _final_slot_start(dataset) -> int:
     final = dataset.steps[-1].time.ordinal
     return sum(1 for step in dataset.steps if step.time.ordinal != final)
@@ -298,6 +326,23 @@ def test_resumed_run_directory_equals_uninterrupted(tmp_path, mini_dataset, mini
         # Counters included: the manifest reads all of them off the log.
         assert _manifest_without_clock(out) == _manifest_without_clock(reference), config.id
         assert _run_dir_files(out) == _run_dir_files(reference), config.id
+    # The replay provider, aborted at each kind of request after some slots
+    # committed: it answers by step, so the resumed run gets the answers the
+    # uninterrupted one did.
+    reference = tmp_path / "reference-replay"
+    replay = ReplayBundle.from_dataset
+    _run(mini_dataset, mini_fixture, 1, provider=replay(mini_dataset), seed=0, out_dir=reference)
+    half = mini_dataset.qa_count // 2
+    for kind, abort_at in (("action", half), ("update", half), ("role_update", 7)):
+        out = tmp_path / f"resumed-replay-{kind}"
+        provider = _AbortAt(replay(mini_dataset), kind, abort_at)
+        with pytest.raises(ProviderError, match="synthetic outage"):
+            _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+        assert _manifest_without_clock(out)["completed_steps"] > 0, kind
+        provider = replay(mini_dataset)
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out, resume=True)
+        assert _manifest_without_clock(out) == _manifest_without_clock(reference), kind
+        assert _run_dir_files(out) == _run_dir_files(reference), kind
 
 
 class _AnswerAtAction(Provider):
@@ -722,6 +767,35 @@ def test_resume_ignores_a_commit_line_without_its_newline(
     assert _manifest_without_clock(out) == _manifest_without_clock(reference_run)
 
 
+@pytest.mark.parametrize(
+    "part, fill",
+    [("journal-header", b"x"), ("journal-record", b"\xff"), ("journal-commit", b"\xff"),
+     ("log-entry", b"x")],
+    ids=["journal-header", "journal-record-not-utf8", "journal-commit-not-utf8", "log-entry"],
+)
+def test_resume_names_the_file_and_line_that_is_not_json(
+    mini_dataset, mini_fixture, reference_run, part, fill
+):
+    path = reference_run / ("log.jsonl" if part == "log-entry" else "checkpoint/journal.jsonl")
+    lines = path.read_bytes().split(b"\n")
+    commits = [i for i, line in enumerate(lines) if line.startswith(b'{"commit": ')]
+    if part == "journal-header":
+        index = 0
+    elif part == "journal-record":
+        index = 1
+        assert commits[0] > index  # the first slot wrote records
+    elif part == "journal-commit":
+        index = commits[-1]
+    else:
+        index = 2
+    # A commit line is found by its start, and a log line must keep its length.
+    start = b'{"commit": ' if part == "journal-commit" else b""
+    lines[index] = start + fill * (len(lines[index]) - len(start))
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line {index + 1} is not JSON"):
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+
+
 def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixture):
     runs = [tmp_path / "jobs-1", tmp_path / "jobs-8"]
     for out, jobs in zip(runs, (1, 8)):
@@ -977,6 +1051,35 @@ def test_a_slot_asks_for_its_actions_then_its_updates_then_its_role_updates(
     assert len(calls) == sum(counters[kind] for kind in kinds)
 
 
+def test_each_request_names_its_kind_and_the_step_it_belongs_to(
+    mini_dataset, mini_roles, gated_provider
+):
+    requests = []
+
+    class Recording(Provider):
+        name = gated_provider.name
+
+        def complete(self, messages, params=None):
+            return gated_provider.complete(messages, params)
+
+        def respond(self, request, params=None):
+            requests.append(request)
+            return gated_provider.respond(request, params)
+
+    Simulation(mini_dataset, mini_roles, Recording(), config_by_id(1), seed=0).run()
+    kinds = {"action": "action", "update": "memory-update", "role_update": "role-update"}
+    for request in requests:
+        assert kinds[request.kind] == _kind(request.messages)
+        step = mini_dataset.steps[request.step_index]
+        if request.kind == "update":
+            assert f"Current Situation:\n{step.user}\n" in request.messages[-1].content
+        else:
+            # An action's system message, or the role text of a role update.
+            named = re.search(r"^Agent ID: (\S+)$", request.messages[0].content, re.M)[1]
+            assert named == step.agent_id
+    assert {request.kind for request in requests} == set(kinds)
+
+
 def _run_counters(entries: list[dict]) -> dict:
     """The eleven manifest counters of a config-1 run's logged entries (raw
     dicts): every step retrieves, and queries the short-term tier once its
@@ -1121,12 +1224,17 @@ def test_log_file_roundtrip(tmp_path, mini_dataset, mini_fixture):
 
 def test_replay_bundle_handles_update_and_reflection_prompts(mini_dataset):
     bundle = ReplayBundle.from_dataset(mini_dataset)
-    update = bundle.complete(
-        [ChatMessage("user", MEMORY_UPDATE_HEADER + "\n\nCurrent Situation:\nx")]
+    update = bundle.respond(
+        Request("update", 3, [ChatMessage("user", MEMORY_UPDATE_HEADER + "\n\nx")])
     )
     assert json.loads(update) == MemoryUpdate().as_dict()
-    reflection = bundle.complete([ChatMessage("user", ROLE_UPDATE_HEADER + "\n\nmore")])
+    reflection = bundle.respond(
+        Request("role_update", 3, [ChatMessage("user", ROLE_UPDATE_HEADER + "\n\nmore")])
+    )
     assert "remains largely unchanged" in reflection
+    action = bundle.respond(Request("action", 3, [ChatMessage("user", "Day 1, Period 1")]))
+    assert action == mini_dataset.steps[3].reference
+    # A bare prompt names no step.
     with pytest.raises(ProviderError):
         bundle.complete([ChatMessage("user", "Day 1, Period 1\nno system message")])
 
