@@ -22,10 +22,11 @@ import json
 import logging
 import os
 import shutil
+import sys
 from collections.abc import Generator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -40,7 +41,7 @@ from .agent import (
     system_message,
 )
 from .config import SimulationConfig
-from .dataset import Dataset, parse_action_footer
+from .dataset import Dataset, QAPair, parse_action_footer
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, shared_embedder
 from .environment import AreaMap, EnvironmentState, SimTime, Slot, classify_action
 from .errors import (
@@ -72,6 +73,10 @@ JOURNAL_FILENAME = "journal.jsonl"
 CHECKPOINT_FORMAT = "checkpoint-v4"
 # Commit lines are the only journal lines that start with this.
 _COMMIT_PREFIX = b'{"commit": '
+# What each kind of journal line holds: a record's keys, as
+# MemoryStore.save writes them, and the commit's keys and value types.
+_RECORD_KEYS = {"agent", "id", "kind", "day", "slot", "salience", "short", "text"}
+_COMMIT_TYPES = {"completed_steps": int, "log_bytes": int, "roles": dict, "locations": dict}
 # Stateless, so one decoder serves every parse.
 _JSON_DECODER = json.JSONDecoder()
 
@@ -132,6 +137,9 @@ class InteractionLogEntry:
             "time": self.time.as_dict(),
             "prompt": [m.as_dict() for m in self.prompt],
         }
+
+
+_ENTRY_KEYS = {f.name for f in fields(InteractionLogEntry)}
 
 
 @dataclass
@@ -582,7 +590,12 @@ class Simulation:
         self._journal.flush()
 
     def restore_checkpoint(self, out_path: Path) -> None:
-        """Load the last committed checkpoint and cut every file back to it."""
+        """Load the last committed checkpoint and cut every file back to it.
+
+        The journal and then log.jsonl are read once, a line at a time, so a
+        restore holds one slot's record lines and one log line beyond what
+        it keeps. A malformed line is named by file and number.
+        """
         out_path = Path(out_path)
         ckpt = out_path / CHECKPOINT_DIRNAME
         journal_path = ckpt / JOURNAL_FILENAME
@@ -594,87 +607,105 @@ class Simulation:
                     "start the run again without resume"
                 )
             raise ValueError(f"no checkpoint to resume in {out_path}")
-        # Newline-terminated lines only: a torn last line never committed.
-        lines = journal_path.read_bytes().split(b"\n")[:-1]
-        if not lines:
-            raise ValueError(f"no committed slot to resume in {journal_path}")
-        try:
-            header = json.loads(lines[0])
-        except ValueError:
-            raise _not_json(journal_path, lines) from None
-        if header.get("format") != CHECKPOINT_FORMAT:
-            raise ValueError(
-                f"{journal_path} is a {header.get('format')} journal, not "
-                f"{CHECKPOINT_FORMAT}, and cannot be resumed; start the run again "
-                "without resume"
-            )
-        for name, value in self._identity().items():
-            if header[name] != value:
-                raise ValueError(
-                    f"checkpoint was produced with a different {name}: "
-                    f"{header[name]!r}, not {value!r}"
-                )
-        last = len(lines) - 1
-        while last > 0 and not lines[last].startswith(_COMMIT_PREFIX):
-            last -= 1
-        if last == 0:
-            raise ValueError(f"no committed slot to resume in {journal_path}")
-        record_lines = [line for line in lines[1:last] if not line.startswith(_COMMIT_PREFIX)]
-        try:
-            state = json.loads(lines[last])["commit"]
-            records = _json_array(record_lines)
-        except ValueError:
-            raise _not_json(journal_path, lines[: last + 1]) from None
-        journal_bytes = sum(len(line) + 1 for line in lines[: last + 1])
         rows: dict[str, list[dict]] = {agent_id: [] for agent_id in self.stores}
-        for row in records:
-            rows[row["agent"]].append(row)
+        pending: list[bytes] = []  # the record lines since the last commit
+        commit = None  # the number and bytes of the last commit line
+        with open(journal_path, "rb") as handle:
+            # Newline-terminated lines only: a torn last line never committed.
+            for number, line in enumerate(handle, start=1):
+                if not line.endswith(b"\n"):
+                    break
+                if number == 1:
+                    self._check_header(journal_path, _parse_line(journal_path, 1, line))
+                elif line.startswith(_COMMIT_PREFIX):
+                    first = number - len(pending)
+                    for offset, row in enumerate(_parse_lines(journal_path, first, pending)):
+                        if not (
+                            isinstance(row, dict)
+                            and row.keys() == _RECORD_KEYS
+                            and row["agent"] in rows
+                        ):
+                            raise _wrong_shape(
+                                journal_path, first + offset, "a memory record of this run"
+                            )
+                        rows[row["agent"]].append(row)
+                    pending = []
+                    commit = number, line
+                    journal_bytes = handle.tell()
+                else:
+                    pending.append(line)
+        if commit is None:
+            raise ValueError(f"no committed slot to resume in {journal_path}")
+        state = _parse_line(journal_path, *commit)["commit"]
+        if not (
+            isinstance(state, dict)
+            and state.keys() == _COMMIT_TYPES.keys()
+            and all(isinstance(state[key], kind) for key, kind in _COMMIT_TYPES.items())
+        ):
+            raise _wrong_shape(journal_path, commit[0], "a commit line")
+        stores = {
+            agent_id: MemoryStore.load(agent_id, self.config, self.embedder, rows.pop(agent_id))
+            for agent_id in self.stores
+        }
 
-        log_path = out_path / LOG_FILENAME
-        with open(log_path, "rb") as handle:
-            log_data = handle.read(state["log_bytes"])
-        if len(log_data) != state["log_bytes"]:
-            raise ValueError(
-                f"{log_path} holds {len(log_data)} bytes, fewer than {state['log_bytes']}"
-            )
-        log_lines = log_data.split(b"\n")
-        try:
-            raw_entries = _json_array(log_lines[1:-1])
-        except ValueError:
-            raise _not_json(log_path, log_lines[:-1]) from None
-        if len(raw_entries) != state["completed_steps"]:
-            raise ValueError(
-                f"{log_path} holds {len(raw_entries)} committed entries, "
-                f"not {state['completed_steps']}"
-            )
         # The prompts share messages as the run's did: an agent's system
         # message until its role changes, and each working-memory turn with
         # every later prompt that shows it. Working memory ends as the window
         # of each agent's latest logged turns.
+        log_path = out_path / LOG_FILENAME
+        log_bytes = state["log_bytes"]
+        log_hash = hashlib.sha256()
+        steps = self.dataset.steps
         working = {agent_id: WorkingMemory() for agent_id in self.working_memories}
         systems: dict[str, ChatMessage] = {}
         entries = []
-        for raw in raw_entries:
-            agent_id = raw["agent_id"]
-            wm = working[agent_id]
-            prompt = _restored_prompt(raw["prompt"], systems.get(agent_id), wm.messages)
-            systems[agent_id] = prompt[0]
-            entry = _entry_from_dict(raw, prompt)
-            entries.append(entry)
-            wm.append_turn(entry.situation, entry.response)
-        stores = {
-            agent_id: MemoryStore.load(agent_id, self.config, self.embedder, rows[agent_id])
-            for agent_id in self.stores
-        }
+        number = read = 0
+        with open(log_path, "rb") as handle:
+            for number, line in enumerate(handle, start=1):
+                # Past the committed length, the lines were never committed.
+                if read + len(line) > log_bytes or not line.endswith(b"\n"):
+                    break
+                read += len(line)
+                log_hash.update(line)
+                if number > 1:  # past the meta line
+                    index = len(entries)
+                    raw = _parse_line(log_path, number, line)
+                    if not (
+                        isinstance(raw, dict)
+                        and raw.keys() == _ENTRY_KEYS
+                        and index < len(steps)
+                        and raw["step_index"] == index
+                        and raw["agent_id"] == steps[index].agent_id
+                        and raw["time"] == steps[index].time.as_dict()
+                    ):
+                        raise _wrong_shape(log_path, number, f"the log entry of step {index}")
+                    agent_id = raw["agent_id"]
+                    wm = working[agent_id]
+                    prompt = _restored_prompt(raw["prompt"], systems.get(agent_id), wm.messages)
+                    systems[agent_id] = prompt[0]
+                    entry = _entry_from_dict(raw, prompt, steps[index])
+                    entries.append(entry)
+                    wm.append_turn(entry.situation, entry.response)
+        if read != log_bytes:
+            size = log_path.stat().st_size
+            raise ValueError(
+                f"{log_path} holds {size} bytes, fewer than {log_bytes}" if size < log_bytes
+                else f"{log_path}: the committed {log_bytes} bytes end inside line {number}"
+            )
+        if len(entries) != state["completed_steps"]:
+            raise ValueError(
+                f"{log_path} holds {len(entries)} committed entries, "
+                f"not {state['completed_steps']}"
+            )
         # Everything read: drop the bytes written after the commit.
-        os.truncate(log_path, state["log_bytes"])
+        os.truncate(log_path, log_bytes)
         os.truncate(journal_path, journal_bytes)
 
         self.entries = entries
         self.completed_steps = state["completed_steps"]
-        self._log_bytes = state["log_bytes"]
+        self._log_bytes = log_bytes
         self._logged_entries = len(entries)
-        self._log_hash = hashlib.sha256(log_data)
+        self._log_hash = log_hash
         self.stores.update(stores)
         for agent_id, store in stores.items():
             self._journaled[agent_id] = store.long_term_size()
@@ -687,25 +718,49 @@ class Simulation:
         self.env.locations = state["locations"]
         self.working_memories.update(working)
 
+    def _check_header(self, journal_path: Path, header) -> None:
+        """Refuse a journal header of another format or another run."""
+        if not isinstance(header, dict):
+            raise _wrong_shape(journal_path, 1, "a journal header")
+        if header.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"{journal_path} is a {header.get('format')} journal, not "
+                f"{CHECKPOINT_FORMAT}, and cannot be resumed; start the run again "
+                "without resume"
+            )
+        for name, value in self._identity().items():
+            if name not in header:
+                raise _wrong_shape(journal_path, 1, "a journal header")
+            if header[name] != value:
+                raise ValueError(
+                    f"checkpoint was produced with a different {name}: "
+                    f"{header[name]!r}, not {value!r}"
+                )
+
 
 def _json_line(obj: dict) -> bytes:
     return (json.dumps(obj, ensure_ascii=False, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _json_array(lines: list[bytes]) -> list:
-    """The JSON values of ``lines``, parsed as one array."""
-    return json.loads(b"[" + b",".join(lines) + b"]")
+def _parse_line(path: Path, number: int, line: bytes):
+    """The JSON value of ``line``, line ``number`` of ``path``."""
+    try:
+        return json.loads(line)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {number} is not JSON: {exc}") from None
 
 
-def _not_json(path: Path, lines: list[bytes]) -> ValueError:
-    """The error naming the first of ``lines``, the lines of ``path`` from its
-    first, that is not UTF-8 JSON. Only a failed parse calls this."""
-    for number, line in enumerate(lines, start=1):
-        try:
-            json.loads(line)
-        except ValueError as exc:
-            return ValueError(f"{path}: line {number} is not JSON: {exc}")
-    return ValueError(f"{path} is not JSON")
+def _parse_lines(path: Path, first: int, lines: list[bytes]) -> list:
+    """The JSON values of ``lines``, lines ``first`` on of ``path``, parsed as
+    one array; only when that fails, a line at a time, to name the line."""
+    try:
+        return json.loads(b"[" + b",".join(lines) + b"]")
+    except ValueError:
+        return [_parse_line(path, first + i, line) for i, line in enumerate(lines)]
+
+
+def _wrong_shape(path: Path, number: int, what: str) -> ValueError:
+    return ValueError(f"{path}: line {number} is not {what}")
 
 
 def _restored_prompt(
@@ -724,9 +779,14 @@ def _restored_prompt(
     return [system, *turns, ChatMessage(last["role"], last["content"])]
 
 
-def _entry_from_dict(raw: dict, prompt: list[ChatMessage]) -> InteractionLogEntry:
-    time = SimTime.at(raw["time"]["day"], Slot.from_label(raw["time"]["slot"]))
-    return InteractionLogEntry(**{**raw, "time": time, "prompt": prompt})
+def _entry_from_dict(raw: dict, prompt: list[ChatMessage], step: QAPair) -> InteractionLogEntry:
+    """The logged entry of ``step``. It holds the step's time, its texts where
+    equal and interned counter names, so it keeps no second copy of them."""
+    texts = {"situation": step.user, "response": step.reference}
+    texts = {key: text for key, text in texts.items() if raw[key] == text}
+    counts = {sys.intern(name): n for name, n in raw["memory_update_counts"].items()}
+    fixed = {"time": step.time, "prompt": prompt, "memory_update_counts": counts}
+    return InteractionLogEntry(**{**raw, **texts, **fixed})
 
 
 class ReplayBundle(Provider):

@@ -646,6 +646,32 @@ def test_run_resume_with_a_different_seed_is_an_error(runner, cli_fixture_dir, t
     assert "cannot resume" in result.output and "different seed" in result.output
 
 
+def test_run_resume_with_a_malformed_journal_is_an_error(runner, cli_fixture_dir, tmp_path):
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--provider",
+        "memory-gated",
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # The header is JSON, but not an object.
+    journal = out / "checkpoint" / "journal.jsonl"
+    journal.write_bytes(b"[]\n" + journal.read_bytes().split(b"\n", 1)[1])
+    result = runner.invoke(main, args + ["--resume"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: cannot resume")
+    assert f"{journal}: line 1 is not a journal header" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_resume_with_another_scripted_section_is_an_error(
     runner, cli_fixture_dir, tmp_path
 ):

@@ -7,6 +7,7 @@ import re
 import shutil
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -469,6 +470,37 @@ def test_a_resumed_log_shares_its_messages_as_an_uninterrupted_one(
     # Far fewer than one per message shown: prompts share turns and roles.
     shown = sum(len(entry.prompt) for entry in reference.entries)
     assert 3 * _distinct_messages(reference.entries) < shown
+    # Restored entries hold the dataset's texts, not copies, and one object
+    # per counter name.
+    steps = mini_dataset.steps
+    assert all(entry.situation is steps[entry.step_index].user for entry in resumed.entries)
+    names = [name for entry in resumed.entries for name in entry.memory_update_counts]
+    assert len({id(name) for name in names}) == len(set(names))
+
+
+def test_a_restore_holds_little_beyond_what_it_keeps(tmp_path, mini_dataset, mini_fixture):
+    out = tmp_path / "run"
+    provider = _AbortAtAction(
+        MemoryGatedProvider.from_file(mini_fixture.script_path), _final_slot_start(mini_dataset)
+    )
+    with pytest.raises(ProviderError):
+        _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
+    sim = Simulation(
+        mini_dataset,
+        load_roles_dir(mini_fixture.roles_dir),
+        MemoryGatedProvider.from_file(mini_fixture.script_path),
+        config_by_id(1),
+        seed=0,
+    )
+    tracemalloc.start()
+    try:
+        sim.restore_checkpoint(out)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The restore cut log.jsonl back to its committed length. Reading the
+    # whole log at once held about four copies of it.
+    assert peak - retained < 2 * (out / "log.jsonl").stat().st_size
 
 
 _TRAIT = "Now checks in with the quiet students first."
@@ -794,6 +826,74 @@ def test_resume_names_the_file_and_line_that_is_not_json(
     path.write_bytes(b"\n".join(lines))
     with pytest.raises(ValueError, match=rf"{re.escape(str(path))}: line {index + 1} is not JSON"):
         _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+
+
+def _other_agent(row: dict, key: str) -> dict:
+    """``row`` with ``key`` set to another agent id of the same length."""
+    other = "s01" if row[key] != "s01" else "s02"
+    assert len(other) == len(row[key])
+    return {**row, key: other}
+
+
+_JOURNAL = "checkpoint/journal.jsonl: "
+
+
+@pytest.mark.parametrize(
+    "line, edit, error",
+    [
+        ("header", lambda row: [], _JOURNAL + "line 1 is not a journal header"),
+        ("header", lambda row: {"format": row["format"]},
+         _JOURNAL + "line 1 is not a journal header"),
+        ("record", lambda row: {"x": 1}, _JOURNAL + "line 2 is not a memory record"),
+        ("record", lambda row: {**row, "agent": "nobody"},
+         _JOURNAL + "line 2 is not a memory record of this run"),
+        ("commit", lambda row: {"commit": []}, _JOURNAL + "line {n} is not a commit line"),
+        ("commit", lambda row: {"commit": {"completed_steps": 6}},
+         _JOURNAL + "line {n} is not a commit line"),
+        ("commit", lambda row: {"commit": {**row["commit"], "log_bytes": "9"}},
+         _JOURNAL + "line {n} is not a commit line"),
+        ("commit",
+         lambda row: {"commit": {**row["commit"], "log_bytes": row["commit"]["log_bytes"] - 1}},
+         r"log.jsonl: the committed \d+ bytes end inside line 61"),
+        ("entry", lambda row: [], "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: {**row, "step_index": 7},
+         "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: _other_agent(row, "agent_id"),
+         "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: {k: v for k, v in row.items() if k != "move"},
+         "log.jsonl: line 3 is not the log entry of step 1"),
+    ],
+    ids=[
+        "header-not-object", "header-without-identity", "record-without-agent",
+        "record-of-another-agent", "commit-not-object", "commit-without-keys",
+        "commit-log-bytes-not-int", "commit-length-inside-a-line", "entry-not-object",
+        "entry-out-of-order", "entry-of-another-agent", "entry-without-a-key",
+    ],
+)
+def test_resume_names_the_line_of_the_wrong_shape(
+    mini_dataset, mini_fixture, reference_run, line, edit, error
+):
+    # Each line is JSON, but not what its place in the file asks for. A log
+    # line keeps its length, padded with blanks, so the committed length
+    # still ends a line.
+    path = reference_run / ("log.jsonl" if line == "entry" else "checkpoint/journal.jsonl")
+    lines = path.read_bytes().split(b"\n")
+    if line == "commit":
+        index = max(i for i, text in enumerate(lines) if text.startswith(b'{"commit": '))
+    else:
+        index = {"header": 0, "record": 1, "entry": 2}[line]
+    new = json.dumps(edit(json.loads(lines[index])), ensure_ascii=False).encode("utf-8")
+    if line == "entry":
+        assert len(new) <= len(lines[index])
+        new = new.ljust(len(lines[index]))
+    lines[index] = new
+    path.write_bytes(b"\n".join(lines))
+    files = _run_dir_files(reference_run)
+    message = re.escape(f"{reference_run}/") + error.format(n=index + 1)
+    with pytest.raises(ValueError, match=message):
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+    # A refused restore cuts nothing back.
+    assert _run_dir_files(reference_run) == files
 
 
 def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixture):
