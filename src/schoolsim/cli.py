@@ -45,7 +45,7 @@ from .simulation import (
     LOG_FILENAME,
     MANIFEST_FILENAME,
     ReplayBundle,
-    load_log,
+    iter_log,
     run_simulation,
 )
 
@@ -68,10 +68,12 @@ def _load_dataset(path: str) -> tuple[Dataset, Path]:
 
 
 def _log_responses(path: str) -> tuple[dict, list[str]]:
-    """The meta line and the responses of the run log at ``path``."""
+    """The meta line and the responses of the run log at ``path``; only
+    they are kept as the log is read."""
     try:
-        meta, entries = load_log(path)
-        return meta, [entry["response"] for entry in entries]
+        lines = iter_log(path)
+        meta = next(lines)
+        return meta, [entry["response"] for entry in lines]
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise click.ClickException(f"cannot read log {path}: {exc}")
 

@@ -29,6 +29,15 @@ class MemoryDisabledError(SchoolSimError):
     """Raised when a store configured without a memory base is used."""
 
 
+class RecordValueError(ValueError):
+    """A memory record row holds a value of the wrong type; ``index`` is
+    the row's place among the rows loaded."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
+
+
 class KindDisabledError(SchoolSimError):
     """Raised on direct insert of a memory kind disabled by the run config."""
 

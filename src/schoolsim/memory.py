@@ -36,12 +36,12 @@ Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from json.encoder import encode_basestring
 from typing import BinaryIO
 
 import numpy as np
@@ -53,6 +53,7 @@ from .errors import (
     EmptyTextError,
     KindDisabledError,
     MemoryDisabledError,
+    RecordValueError,
 )
 
 logger = logging.getLogger(__name__)
@@ -367,21 +368,16 @@ class MemoryStore:
     def save(self, handle: BinaryIO, start: int = 0) -> int:
         """Write the records from id ``start`` on to the open binary
         ``handle``; returns the number of bytes written."""
+        # Each line as json.dumps(..., ensure_ascii=False) writes the dict.
+        agent = encode_basestring(self.agent_id)
         data = "".join(
-            json.dumps(
-                {
-                    "agent": self.agent_id,
-                    "id": record.id,
-                    "kind": record.kind.value,
-                    "day": record.created_at.day,
-                    "slot": record.created_at.slot.label,
-                    "salience": record.salience,
-                    "short": record.mark_short,
-                    "text": record.text,
-                },
-                ensure_ascii=False,
-            )
-            + "\n"
+            f'{{"agent": {agent}, "id": {record.id}, '
+            f'"kind": {encode_basestring(record.kind.value)}, '
+            f'"day": {record.created_at.day}, '
+            f'"slot": {encode_basestring(record.created_at.slot.label)}, '
+            f'"salience": {float.__repr__(record.salience)}, '
+            f'"short": {"true" if record.mark_short else "false"}, '
+            f'"text": {encode_basestring(record.text)}}}\n'
             for record in self._records[start:]
         ).encode("utf-8")
         handle.write(data)
@@ -418,26 +414,32 @@ class MemoryStore:
         times: dict[tuple[int, str], SimTime] = {}
         kinds = []
         created = []
-        for record_id, row in enumerate(rows):
-            key = (row["day"], row["slot"])
-            created_at = times.get(key)
-            if created_at is None:
-                created_at = times[key] = SimTime.at(key[0], Slot.from_label(key[1]))
-            kind = enabled.get(row["kind"])
-            if kind is None:
-                raise KindDisabledError(
-                    f"{agent_id}: {MemoryKind(row['kind']).value} base is disabled "
-                    f"by config {config.id}"
-                )
-            text = row["text"]
-            if not text or not text.strip():
-                raise EmptyTextError("memory text must be non-empty")
-            if row["id"] != record_id:
-                raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
-            kinds.append(kind)
-            created.append(created_at)
-            store._ordinals.append(created_at.ordinal)
-            store._saliences.append(row["salience"])
+        try:
+            for record_id, row in enumerate(rows):
+                key = (row["day"], row["slot"])
+                created_at = times.get(key)
+                if created_at is None:
+                    created_at = times[key] = SimTime.at(key[0], Slot.from_label(key[1]))
+                kind = enabled.get(row["kind"])
+                if kind is None:
+                    raise KindDisabledError(
+                        f"{agent_id}: {MemoryKind(row['kind']).value} base is disabled "
+                        f"by config {config.id}"
+                    )
+                text = row["text"]
+                if not text or not text.strip():
+                    raise EmptyTextError("memory text must be non-empty")
+                if row["id"] != record_id:
+                    raise ValueError(f"{agent_id}: store records out of order at id {row['id']}")
+                kinds.append(kind)
+                created.append(created_at)
+                store._ordinals.append(created_at.ordinal)
+                store._saliences.append(row["salience"])
+        except (TypeError, AttributeError, KeyError) as exc:
+            # A value of the wrong type: name the row, which the caller can place.
+            raise RecordValueError(
+                record_id, f"{agent_id}: record {record_id} holds a wrong value: {exc!r}"
+            ) from exc
 
         embeddings: list[np.ndarray] = []
         store._norms = np.empty(-(-n // BLOCK_ROWS) * BLOCK_ROWS)

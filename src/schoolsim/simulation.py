@@ -23,11 +23,12 @@ import logging
 import os
 import shutil
 import sys
-from collections.abc import Generator
+from collections.abc import Generator, Iterator
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .agent import (
@@ -45,10 +46,12 @@ from .dataset import Dataset, QAPair, parse_action_footer
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, shared_embedder
 from .environment import AreaMap, EnvironmentState, SimTime, Slot, classify_action
 from .errors import (
+    EmptyTextError,
     MemoryUpdateError,
     MissingFieldError,
     NoJsonFoundError,
     ProviderError,
+    RecordValueError,
     UnknownAreaError,
     WrongTypeError,
 )
@@ -131,15 +134,12 @@ class InteractionLogEntry:
     rejected_move: str | None
     role_updated: bool | None
 
-    def as_dict(self) -> dict:
-        return {
-            **vars(self),
-            "time": self.time.as_dict(),
-            "prompt": [m.as_dict() for m in self.prompt],
-        }
 
-
-_ENTRY_KEYS = {f.name for f in fields(InteractionLogEntry)}
+# Each field's name and the start of its member in a log line.
+_ENTRY_FIELDS = tuple(
+    (f.name, encode_basestring(f.name) + ": ") for f in fields(InteractionLogEntry)
+)
+_ENTRY_KEYS = {name for name, _key in _ENTRY_FIELDS}
 
 
 @dataclass
@@ -151,33 +151,88 @@ class InteractionLog:
         return [entry.response for entry in self.entries]
 
     def to_jsonl(self) -> str:
-        return _log_lines(self.meta, self.entries)
+        return "".join(_LineEncoder().lines(self.meta, self.entries))
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_jsonl().encode("utf-8")).hexdigest()
+        """The SHA-256 of :meth:`to_jsonl`, hashed a line at a time."""
+        hashed = hashlib.sha256()
+        for line in _LineEncoder().lines(self.meta, self.entries):
+            hashed.update(line.encode("utf-8"))
+        return hashed.hexdigest()
 
 
-def _log_lines(meta: dict | None, entries: list[InteractionLogEntry]) -> str:
-    """The log text of the meta line (when given) and then ``entries``."""
-    lines = [] if meta is None else [
-        json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True)
-    ]
-    lines.extend(json.dumps(entry.as_dict(), ensure_ascii=False) for entry in entries)
-    return "".join(line + "\n" for line in lines)
+class _LineEncoder:
+    """Writes each log line as ``json.dumps(..., ensure_ascii=False)`` would
+    write the entry's fields, with its time and messages as dicts.
+
+    A prompt repeats most of its agent's previous prompt: the system message
+    and every working-memory turn but the newest. So the encoder keeps the
+    JSON of each message of each agent's previous prompt by ``id``, with the
+    message, so that the id stays its own. A message it does not hold is
+    encoded again, so a fresh encoder writes the same lines.
+    """
+
+    def __init__(self) -> None:
+        self._encode = json.JSONEncoder(ensure_ascii=False).encode
+        self._held: dict[str, dict[int, tuple[ChatMessage, str]]] = {}
+
+    def lines(self, meta: dict | None, entries: list[InteractionLogEntry]) -> Iterator[str]:
+        """The meta line (when given), then a line per entry."""
+        if meta is not None:
+            yield json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True) + "\n"
+        for entry in entries:
+            members = [key + self._value(entry, name) for name, key in _ENTRY_FIELDS]
+            yield "{" + ", ".join(members) + "}\n"
+
+    def _value(self, entry: InteractionLogEntry, name: str) -> str:
+        value = getattr(entry, name)
+        if type(value) is str:
+            return encode_basestring(value)
+        if type(value) is int:
+            return int.__repr__(value)
+        if value is None:
+            return "null"
+        if type(value) is bool:
+            return "true" if value else "false"
+        if name == "prompt":
+            return self._prompt(entry.agent_id, value)
+        return self._encode(value.as_dict() if name == "time" else value)
+
+    def _prompt(self, agent_id: str, prompt: list[ChatMessage]) -> str:
+        previous = self._held.get(agent_id, {})
+        held = self._held[agent_id] = {}
+        for message in prompt:
+            pair = previous.get(id(message))
+            if pair is None:
+                pair = message, (
+                    f'{{"role": {encode_basestring(message.role)}, '
+                    f'"content": {encode_basestring(message.content)}}}'
+                )
+            held[id(message)] = pair
+        return "[" + ", ".join(held[id(message)][1] for message in prompt) + "]"
 
 
 def load_log(path: str | Path) -> tuple[dict, list[dict]]:
     """Read a log file back as (meta, raw entry dicts)."""
-    # Lines end in "\n" only: JSON leaves U+2028 and U+0085 unescaped, and
-    # str.splitlines would split on them.
-    lines = Path(path).read_text(encoding="utf-8").split("\n")
-    if not lines[0].strip():
-        raise ValueError(f"empty log file: {path}")
-    head = json.loads(lines[0])
-    if "meta" not in head:
-        raise ValueError(f"log file lacks a meta line: {path}")
-    entries = [json.loads(line) for line in lines[1:] if line.strip()]
-    return head["meta"], entries
+    meta, *entries = iter_log(path)
+    return meta, entries
+
+
+def iter_log(path: str | Path) -> Iterator[dict]:
+    """The meta of a log file and then each raw entry dict, read a line at a time."""
+    # A text file splits lines at newlines only, not at the U+2028 and U+0085
+    # that JSON leaves unescaped (str.splitlines would split on them).
+    with open(path, encoding="utf-8") as handle:
+        first = handle.readline()
+        if not first.strip():
+            raise ValueError(f"empty log file: {path}")
+        head = json.loads(first)
+        if "meta" not in head:
+            raise ValueError(f"log file lacks a meta line: {path}")
+        yield head["meta"]
+        for line in handle:
+            if line.strip():
+                yield json.loads(line)
 
 
 # The fixed values of every run, each the default of the component that uses
@@ -238,6 +293,7 @@ class Simulation:
         self._log_bytes = 0
         self._logged_entries = 0
         self._log_hash = hashlib.sha256()
+        self._encoder = _LineEncoder()
         self._journaled = {agent_id: 0 for agent_id in dataset.agent_ids}
         # log.jsonl and the journal, open while run() writes to them.
         self._log_file = None
@@ -543,7 +599,7 @@ class Simulation:
         new_entries = self.entries[self._logged_entries :]
         if meta is None and not new_entries:
             return
-        data = _log_lines(meta, new_entries).encode("utf-8")
+        data = "".join(self._encoder.lines(meta, new_entries)).encode("utf-8")
         self._log_file.write(data)
         self._log_hash.update(data)
         self._log_bytes += len(data)
@@ -608,6 +664,7 @@ class Simulation:
                 )
             raise ValueError(f"no checkpoint to resume in {out_path}")
         rows: dict[str, list[dict]] = {agent_id: [] for agent_id in self.stores}
+        numbers: dict[str, list[int]] = {agent_id: [] for agent_id in self.stores}
         pending: list[bytes] = []  # the record lines since the last commit
         commit = None  # the number and bytes of the last commit line
         with open(journal_path, "rb") as handle:
@@ -629,6 +686,7 @@ class Simulation:
                                 journal_path, first + offset, "a memory record of this run"
                             )
                         rows[row["agent"]].append(row)
+                        numbers[row["agent"]].append(first + offset)
                     pending = []
                     commit = number, line
                     journal_bytes = handle.tell()
@@ -643,10 +701,15 @@ class Simulation:
             and all(isinstance(state[key], kind) for key, kind in _COMMIT_TYPES.items())
         ):
             raise _wrong_shape(journal_path, commit[0], "a commit line")
-        stores = {
-            agent_id: MemoryStore.load(agent_id, self.config, self.embedder, rows.pop(agent_id))
-            for agent_id in self.stores
-        }
+        stores = {}
+        for agent_id in self.stores:
+            try:
+                stores[agent_id] = MemoryStore.load(
+                    agent_id, self.config, self.embedder, rows.pop(agent_id)
+                )
+            except RecordValueError as exc:
+                number = numbers[agent_id][exc.index]
+                raise _wrong_shape(journal_path, number, "a memory record") from None
 
         # The prompts share messages as the run's did: an agent's system
         # message until its role changes, and each working-memory turn with
@@ -681,11 +744,19 @@ class Simulation:
                         raise _wrong_shape(log_path, number, f"the log entry of step {index}")
                     agent_id = raw["agent_id"]
                     wm = working[agent_id]
-                    prompt = _restored_prompt(raw["prompt"], systems.get(agent_id), wm.messages)
+                    try:
+                        prompt = _restored_prompt(
+                            raw["prompt"], systems.get(agent_id), wm.messages
+                        )
+                        entry = _entry_from_dict(raw, prompt, steps[index])
+                        wm.append_turn(entry.situation, entry.response)
+                    except (TypeError, AttributeError, KeyError, ValueError, EmptyTextError):
+                        # A value of the wrong type or an empty text.
+                        raise _wrong_shape(
+                            log_path, number, f"the log entry of step {index}"
+                        ) from None
                     systems[agent_id] = prompt[0]
-                    entry = _entry_from_dict(raw, prompt, steps[index])
                     entries.append(entry)
-                    wm.append_turn(entry.situation, entry.response)
         if read != log_bytes:
             size = log_path.stat().st_size
             raise ValueError(

@@ -2,18 +2,20 @@ from __future__ import annotations
 
 import json
 import logging
+import tracemalloc
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from schoolsim.agent import TEACHER_FIELDS, load_role
-from schoolsim.cli import _provider_factory, _warn_unused_jobs, main
+from conftest import load_roles_dir
+from schoolsim.cli import _log_responses, _provider_factory, _warn_unused_jobs, main
 from schoolsim.config import config_by_id
 from schoolsim.dataset import Dataset, load_standard_group
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture
 from schoolsim.llm import HttpProvider
-from schoolsim.simulation import run_simulation
+from schoolsim.simulation import load_log, run_simulation
 from schoolsim.prompts import ROLE_GENERATION_TEACHER
 
 
@@ -266,6 +268,26 @@ def test_evaluate_replay_log_is_all_ones(runner, cli_fixture_dir, tmp_path):
     data_line = result.output.splitlines()[1]
     assert data_line.startswith("1,")
     assert set(data_line.split(",")[1:]) == {"1.0"}
+
+
+def test_log_responses_keep_only_the_meta_and_the_responses(
+    tmp_path, mini_dataset, mini_fixture
+):
+    out = tmp_path / "run"
+    roles = load_roles_dir(mini_fixture.roles_dir)
+    provider = MemoryGatedProvider.from_file(mini_fixture.script_path)
+    run_simulation(mini_dataset, roles, provider, config_by_id(1), seed=0, out_dir=out)
+    path = out / "log.jsonl"
+    tracemalloc.start()
+    try:
+        meta, responses = _log_responses(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    expected_meta, entries = load_log(path)
+    assert (meta, responses) == (expected_meta, [entry["response"] for entry in entries])
+    # Reading the whole log at once peaked near three times its size.
+    assert peak < 0.5 * path.stat().st_size
 
 
 @pytest.mark.parametrize("beta", ["0", "-1", "nan"])
@@ -669,6 +691,36 @@ def test_run_resume_with_a_malformed_journal_is_an_error(runner, cli_fixture_dir
     assert isinstance(result.exception, SystemExit), result.exception
     assert result.output.startswith("Error: cannot resume")
     assert f"{journal}: line 1 is not a journal header" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_run_resume_with_a_wrong_value_in_the_log_is_an_error(
+    runner, cli_fixture_dir, tmp_path
+):
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--provider",
+        "memory-gated",
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # The first entry keeps its keys and its length, but its counters are a list.
+    log = out / "log.jsonl"
+    meta, entry, rest = log.read_bytes().split(b"\n", 2)
+    edited = json.dumps({**json.loads(entry), "memory_update_counts": []}, ensure_ascii=False)
+    log.write_bytes(b"\n".join([meta, edited.encode("utf-8").ljust(len(entry)), rest]))
+    result = runner.invoke(main, args + ["--resume"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: cannot resume")
+    assert f"{log}: line 2 is not the log entry of step 0" in result.output
     assert "Traceback" not in result.output
 
 

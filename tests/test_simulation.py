@@ -873,9 +873,16 @@ _JOURNAL = "checkpoint/journal.jsonl: "
 def test_resume_names_the_line_of_the_wrong_shape(
     mini_dataset, mini_fixture, reference_run, line, edit, error
 ):
-    # Each line is JSON, but not what its place in the file asks for. A log
-    # line keeps its length, padded with blanks, so the committed length
-    # still ends a line.
+    # Each line is JSON, but not what its place in the file asks for.
+    _refused_resume(mini_dataset, mini_fixture, reference_run, line, edit, error)
+
+
+def _refused_resume(mini_dataset, mini_fixture, reference_run, line, edit, error):
+    """Edit one line of ``reference_run`` and check that a resume names it.
+
+    A log line keeps its length, padded with blanks, so the committed length
+    still ends a line.
+    """
     path = reference_run / ("log.jsonl" if line == "entry" else "checkpoint/journal.jsonl")
     lines = path.read_bytes().split(b"\n")
     if line == "commit":
@@ -894,6 +901,43 @@ def test_resume_names_the_line_of_the_wrong_shape(
         _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
     # A refused restore cuts nothing back.
     assert _run_dir_files(reference_run) == files
+
+
+def _with_message(row: dict, **message) -> dict:
+    """``row`` with its prompt's first message replaced by ``message``."""
+    return {**row, "prompt": [message, *row["prompt"][1:]]}
+
+
+_ENTRY = "log.jsonl: line 3 is not the log entry of step 1"
+_RECORD = _JOURNAL + "line 2 is not a memory record"
+
+
+@pytest.mark.parametrize(
+    "line, edit, error",
+    [
+        ("entry", lambda row: {**row, "memory_update_counts": []}, _ENTRY),
+        ("entry", lambda row: {**row, "prompt": [1, 2]}, _ENTRY),
+        ("entry", lambda row: {**row, "prompt": []}, _ENTRY),
+        ("entry", lambda row: _with_message(row, role="narrator", content="x"), _ENTRY),
+        ("entry", lambda row: _with_message(row, role="system"), _ENTRY),
+        ("entry", lambda row: {**row, "response": 5}, _ENTRY),
+        ("record", lambda row: {**row, "text": 5}, _RECORD),
+        ("record", lambda row: {**row, "slot": 5}, _RECORD),
+        ("record", lambda row: {**row, "day": "1"}, _RECORD),
+        ("record", lambda row: {**row, "kind": []}, _RECORD),
+    ],
+    ids=[
+        "entry-counts-not-object", "entry-prompt-of-numbers", "entry-prompt-empty",
+        "entry-message-of-unknown-role", "entry-message-without-content",
+        "entry-response-not-text", "record-text-not-text", "record-slot-not-text",
+        "record-day-not-int", "record-kind-not-text",
+    ],
+)
+def test_resume_names_the_line_of_a_wrong_value(
+    mini_dataset, mini_fixture, reference_run, line, edit, error
+):
+    # Each line has the keys its place asks for, but a value of the wrong type.
+    _refused_resume(mini_dataset, mini_fixture, reference_run, line, edit, error)
 
 
 def test_jobs_do_not_change_the_run_directory(tmp_path, mini_dataset, mini_fixture):
