@@ -42,7 +42,7 @@ from .agent import (
     system_message,
 )
 from .config import SimulationConfig
-from .dataset import Dataset, QAPair, parse_action_footer
+from .dataset import Dataset, parse_action_footer
 from .embedding import DEFAULT_DIM, DEFAULT_SEED, shared_embedder
 from .environment import AreaMap, EnvironmentState, SimTime, Slot, classify_action
 from .errors import (
@@ -135,11 +135,19 @@ class InteractionLogEntry:
     role_updated: bool | None
 
 
-# Each field's name and the start of its member in a log line.
-_ENTRY_FIELDS = tuple(
-    (f.name, encode_basestring(f.name) + ": ") for f in fields(InteractionLogEntry)
+# Each field after the prompt, with the start of its member in a log line.
+# The four before it and the prompt's key are a step's head, which
+# _LineEncoder.head writes from what the dataset step gives.
+_TAIL_FIELDS = tuple(
+    (f.name, encode_basestring(f.name) + ": ") for f in fields(InteractionLogEntry)[5:]
 )
-_ENTRY_KEYS = {name for name, _key in _ENTRY_FIELDS}
+# What a step's memory_update_counts may hold: the names
+# MemoryStore.apply_update counts under, and ints.
+_COUNTS_PARTS = {name for name, _, _, _ in UPDATE_ROUTES} | {
+    "skipped_disabled",
+    "skipped_empty",
+    int,
+}
 
 
 @dataclass
@@ -165,6 +173,10 @@ class _LineEncoder:
     """Writes each log line as ``json.dumps(..., ensure_ascii=False)`` would
     write the entry's fields, with its time and messages as dicts.
 
+    A line is its step's :meth:`head`, the JSON of its prompt's messages
+    (:meth:`messages`) and then the members after the prompt. The restore
+    asks for the same head and messages to compare a committed line with.
+
     A prompt repeats most of its agent's previous prompt: the system message
     and every working-memory turn but the newest. So the encoder keeps the
     JSON of each message of each agent's previous prompt by ``id``, with the
@@ -175,17 +187,46 @@ class _LineEncoder:
     def __init__(self) -> None:
         self._encode = json.JSONEncoder(ensure_ascii=False).encode
         self._held: dict[str, dict[int, tuple[ChatMessage, str]]] = {}
+        self._times: dict[SimTime, str] = {}  # the JSON of each time
 
     def lines(self, meta: dict | None, entries: list[InteractionLogEntry]) -> Iterator[str]:
         """The meta line (when given), then a line per entry."""
         if meta is not None:
             yield json.dumps({"meta": meta}, ensure_ascii=False, sort_keys=True) + "\n"
         for entry in entries:
-            members = [key + self._value(entry, name) for name, key in _ENTRY_FIELDS]
-            yield "{" + ", ".join(members) + "}\n"
+            head = self.head(entry.step_index, entry.agent_id, entry.time, entry.situation)
+            messages = ", ".join(self.messages(entry.agent_id, entry.prompt))
+            tail = ", ".join([key + self._value(getattr(entry, name)) for name, key in _TAIL_FIELDS])
+            yield f"{head}{messages}], {tail}}}\n"
 
-    def _value(self, entry: InteractionLogEntry, name: str) -> str:
-        value = getattr(entry, name)
+    def head(self, step_index: int, agent_id: str, time: SimTime, situation: str) -> str:
+        """The line of a step up to its prompt's first message."""
+        time_json = self._times.get(time)
+        if time_json is None:
+            time_json = self._times[time] = self._encode(time.as_dict())
+        return (
+            f'{{"step_index": {step_index}, "agent_id": {encode_basestring(agent_id)}, '
+            f'"time": {time_json}, "situation": {encode_basestring(situation)}, "prompt": ['
+        )
+
+    def messages(self, agent_id: str, messages: list[ChatMessage]) -> list[str]:
+        """The JSON of each message, held as the agent's in place of those
+        held before."""
+        previous = self._held.get(agent_id, {})
+        held = self._held[agent_id] = {}
+        texts = []
+        for message in messages:
+            pair = previous.get(id(message))
+            if pair is None:
+                pair = message, (
+                    f'{{"role": {encode_basestring(message.role)}, '
+                    f'"content": {encode_basestring(message.content)}}}'
+                )
+            held[id(message)] = pair
+            texts.append(pair[1])
+        return texts
+
+    def _value(self, value) -> str:
         if type(value) is str:
             return encode_basestring(value)
         if type(value) is int:
@@ -194,22 +235,7 @@ class _LineEncoder:
             return "null"
         if type(value) is bool:
             return "true" if value else "false"
-        if name == "prompt":
-            return self._prompt(entry.agent_id, value)
-        return self._encode(value.as_dict() if name == "time" else value)
-
-    def _prompt(self, agent_id: str, prompt: list[ChatMessage]) -> str:
-        previous = self._held.get(agent_id, {})
-        held = self._held[agent_id] = {}
-        for message in prompt:
-            pair = previous.get(id(message))
-            if pair is None:
-                pair = message, (
-                    f'{{"role": {encode_basestring(message.role)}, '
-                    f'"content": {encode_basestring(message.content)}}}'
-                )
-            held[id(message)] = pair
-        return "[" + ", ".join(held[id(message)][1] for message in prompt) + "]"
+        return self._encode(value)
 
 
 def load_log(path: str | Path) -> tuple[dict, list[dict]]:
@@ -650,7 +676,11 @@ class Simulation:
 
         The journal and then log.jsonl are read once, a line at a time, so a
         restore holds one slot's record lines and one log line beyond what
-        it keeps. A malformed line is named by file and number.
+        it keeps. Each log line is compared with what the run's encoder
+        writes for its step, and only the rest is decoded (see
+        :meth:`_restored_entry`); the encoder then holds each agent's latest
+        messages, so the next slot escapes only new ones. A malformed line is
+        named by file and number.
         """
         out_path = Path(out_path)
         ckpt = out_path / CHECKPOINT_DIRNAME
@@ -718,9 +748,8 @@ class Simulation:
         log_path = out_path / LOG_FILENAME
         log_bytes = state["log_bytes"]
         log_hash = hashlib.sha256()
-        steps = self.dataset.steps
         working = {agent_id: WorkingMemory() for agent_id in self.working_memories}
-        systems: dict[str, ChatMessage] = {}
+        systems = dict(self.system_messages)
         entries = []
         number = read = 0
         with open(log_path, "rb") as handle:
@@ -732,31 +761,14 @@ class Simulation:
                 log_hash.update(line)
                 if number > 1:  # past the meta line
                     index = len(entries)
-                    raw = _parse_line(log_path, number, line)
-                    if not (
-                        isinstance(raw, dict)
-                        and raw.keys() == _ENTRY_KEYS
-                        and index < len(steps)
-                        and raw["step_index"] == index
-                        and raw["agent_id"] == steps[index].agent_id
-                        and raw["time"] == steps[index].time.as_dict()
-                    ):
-                        raise _wrong_shape(log_path, number, f"the log entry of step {index}")
-                    agent_id = raw["agent_id"]
-                    wm = working[agent_id]
                     try:
-                        prompt = _restored_prompt(
-                            raw["prompt"], systems.get(agent_id), wm.messages
-                        )
-                        entry = _entry_from_dict(raw, prompt, steps[index])
-                        wm.append_turn(entry.situation, entry.response)
-                    except (TypeError, AttributeError, KeyError, ValueError, EmptyTextError):
-                        # A value of the wrong type or an empty text.
+                        entries.append(self._restored_entry(index, line, systems, working))
+                    except (LookupError, TypeError, AttributeError, ValueError, EmptyTextError):
+                        # Not JSON, or not what the run wrote for the step.
+                        _parse_line(log_path, number, line)
                         raise _wrong_shape(
                             log_path, number, f"the log entry of step {index}"
                         ) from None
-                    systems[agent_id] = prompt[0]
-                    entries.append(entry)
         if read != log_bytes:
             size = log_path.stat().st_size
             raise ValueError(
@@ -788,6 +800,65 @@ class Simulation:
             self.system_messages[agent_id] = message
         self.env.locations = state["locations"]
         self.working_memories.update(working)
+
+    def _restored_entry(
+        self,
+        index: int,
+        line: bytes,
+        systems: dict[str, ChatMessage],
+        working: dict[str, WorkingMemory],
+    ) -> InteractionLogEntry:
+        """The entry of step ``index`` that the committed ``line`` holds.
+
+        The line must start with the head the encoder writes for the step.
+        Its prompt should go on with the JSON of the agent's system message
+        and working-memory turns: what matches those bytes is taken as the
+        messages themselves, and only the rest of the line is decoded. The
+        encoder then holds the agent's system message and turns, which its
+        next prompt repeats. Raises on a line that is not what the run wrote
+        for the step.
+        """
+        step = self.dataset.steps[index]
+        agent_id = step.agent_id
+        head = self._encoder.head(index, agent_id, step.time, step.user).encode("utf-8")
+        if not line.startswith(head):
+            raise ValueError("not the head of the step")
+        at = len(head)
+        system = systems[agent_id]
+        turns = working[agent_id].messages
+        held = self._encoder.messages(agent_id, [system, *turns])
+        known = held[0].encode("utf-8")
+        if line.startswith(known, at):
+            at += len(known)
+        else:  # a role change: decode the one message, and hold it instead
+            text = line[at:].decode("utf-8")
+            raw, end = _JSON_DECODER.raw_decode(text)
+            system = systems[agent_id] = ChatMessage(**raw)
+            at += len(text[:end].encode("utf-8"))
+            held = self._encoder.messages(agent_id, [system, *turns])
+        known = ", ".join(["", *held[1:], ""]).encode("utf-8")
+        if line.startswith(known, at):
+            raw = _decoded_rest(line, at + len(known))
+        elif line.startswith(b", ", at):  # turns working memory does not hold
+            raw = _decoded_rest(line, at + 2)
+            turns = []
+        else:
+            raise ValueError("not a list of messages")
+        *shown, last = raw["prompt"]
+        if shown:
+            turns = [*turns, *(ChatMessage(**message) for message in shown)]
+        raw["prompt"] = [system, *turns, ChatMessage(**last)]
+        counts = raw["memory_update_counts"]
+        if not {*counts, *map(type, counts.values())} <= _COUNTS_PARTS:
+            raise ValueError("not the counters of a step")
+        # Interned names and the dataset's texts, so the entry keeps no
+        # second copy of them.
+        raw["memory_update_counts"] = dict(zip(map(sys.intern, counts), counts.values()))
+        if raw["response"] == step.reference:
+            raw["response"] = step.reference
+        entry = InteractionLogEntry(index, agent_id, step.time, step.user, **raw)
+        working[agent_id].append_turn(step.user, entry.response)
+        return entry
 
     def _check_header(self, journal_path: Path, header) -> None:
         """Refuse a journal header of another format or another run."""
@@ -830,34 +901,18 @@ def _parse_lines(path: Path, first: int, lines: list[bytes]) -> list:
         return [_parse_line(path, first + i, line) for i, line in enumerate(lines)]
 
 
+def _decoded_rest(line: bytes, at: int) -> dict:
+    """The members of a log ``line`` from its prompt's message at ``at`` on,
+    as an object whose ``prompt`` holds the messages from there."""
+    text = '{"prompt": [' + str(line[at:], "utf-8")
+    rest, end = _JSON_DECODER.raw_decode(text)
+    if text[end:].strip(" \t\n\r"):  # only JSON whitespace may follow
+        raise ValueError("not one JSON object")
+    return rest
+
+
 def _wrong_shape(path: Path, number: int, what: str) -> ValueError:
     return ValueError(f"{path}: line {number} is not {what}")
-
-
-def _restored_prompt(
-    raw: list[dict], system: ChatMessage | None, turns: list[ChatMessage]
-) -> list[ChatMessage]:
-    """A logged prompt that reuses ``system`` and the working-memory ``turns``
-    where it shows them; messages it does not share are built anew."""
-    first, *middle, last = raw
-    if system is None or (system.role, system.content) != (first["role"], first["content"]):
-        system = ChatMessage(first["role"], first["content"])
-    if len(middle) != len(turns) or any(
-        turn.content != m["content"] or turn.role != m["role"]
-        for turn, m in zip(turns, middle)
-    ):
-        turns = [ChatMessage(m["role"], m["content"]) for m in middle]
-    return [system, *turns, ChatMessage(last["role"], last["content"])]
-
-
-def _entry_from_dict(raw: dict, prompt: list[ChatMessage], step: QAPair) -> InteractionLogEntry:
-    """The logged entry of ``step``. It holds the step's time, its texts where
-    equal and interned counter names, so it keeps no second copy of them."""
-    texts = {"situation": step.user, "response": step.reference}
-    texts = {key: text for key, text in texts.items() if raw[key] == text}
-    counts = {sys.intern(name): n for name, n in raw["memory_update_counts"].items()}
-    fixed = {"time": step.time, "prompt": prompt, "memory_update_counts": counts}
-    return InteractionLogEntry(**{**raw, **texts, **fixed})
 
 
 class ReplayBundle(Provider):

@@ -724,6 +724,37 @@ def test_run_resume_with_a_wrong_value_in_the_log_is_an_error(
     assert "Traceback" not in result.output
 
 
+def test_run_resume_with_an_unknown_counter_in_the_log_is_an_error(
+    runner, cli_fixture_dir, tmp_path
+):
+    out = tmp_path / "run"
+    args = [
+        "run",
+        "--dataset",
+        str(cli_fixture_dir),
+        "--config-id",
+        "1",
+        "--provider",
+        "memory-gated",
+        "--out",
+        str(out),
+    ]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
+    # The first entry names a counter the manifest does not count.
+    log = out / "log.jsonl"
+    meta, entry, rest = log.read_bytes().split(b"\n", 2)
+    assert b'"skipped_empty": 0' in entry
+    entry = entry.replace(b'"skipped_empty": 0', b'"skipped_emptX": 0')
+    log.write_bytes(b"\n".join([meta, entry, rest]))
+    result = runner.invoke(main, args + ["--resume"])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert result.output.startswith("Error: cannot resume")
+    assert f"{log}: line 2 is not the log entry of step 0" in result.output
+    assert "Traceback" not in result.output
+
+
 def test_run_resume_with_another_scripted_section_is_an_error(
     runner, cli_fixture_dir, tmp_path
 ):

@@ -41,6 +41,7 @@ from schoolsim.prompts import MEMORY_UPDATE_HEADER, ROLE_UPDATE_HEADER
 from schoolsim.simulation import (
     ReplayBundle,
     Simulation,
+    _LineEncoder,
     load_log,
     parse_memory_update,
     run_simulation,
@@ -567,6 +568,80 @@ def test_prompts_carry_the_role_updated_at_reflection(tmp_path, mini_dataset, mi
     assert _run_dir_files(out) == _run_dir_files(reference)
 
 
+def _edit_a_turn(log_path: Path) -> tuple[int, int]:
+    """Edit in place, at the same length, the first working-memory turn shown
+    in the prompt of step 12 of ``log_path``; returns the step and the number
+    of turn messages its prompt shows."""
+    lines = log_path.read_bytes().split(b"\n")
+    row = json.loads(lines[13])
+    turn = row["prompt"][1]
+    assert len(row["prompt"]) > 3 and turn["content"][0].isalpha()
+    turn["content"] = turn["content"][0].swapcase() + turn["content"][1:]
+    edited = json.dumps(row, ensure_ascii=False).encode("utf-8")
+    assert len(edited) == len(lines[13]) and edited != lines[13]
+    lines[13] = edited
+    log_path.write_bytes(b"\n".join(lines))
+    return 12, len(row["prompt"]) - 2
+
+
+@pytest.mark.parametrize("path", ["predicted", "role-change", "edited-turn"])
+def test_every_restored_entry_re_encodes_to_its_committed_line(
+    tmp_path, mini_dataset, mini_fixture, path
+):
+    # A memory-gated run's lines are all predicted but for each final message
+    # and the outcomes. A role change decodes the next system message, and a
+    # turn that working memory does not hold decodes its prompt's turns.
+    def provider():
+        inner = MemoryGatedProvider.from_file(mini_fixture.script_path)
+        return _TraitAtReflection(inner) if path == "role-change" else inner
+
+    abort_at = _final_slot_start(mini_dataset)
+    if path == "role-change":
+        # Day two's first slot is the first to show the changed roles: each
+        # agent's latest line then holds a decoded system message.
+        first = next(step.time.ordinal for step in mini_dataset.steps if step.time.day == 2)
+        abort_at = sum(1 for step in mini_dataset.steps if step.time.ordinal <= first)
+    out = tmp_path / "run"
+    with pytest.raises(ProviderError):
+        _run(
+            mini_dataset, mini_fixture, 1,
+            provider=_AbortAtAction(provider(), abort_at), seed=0, out_dir=out,
+        )
+    decoded_turns = 0
+    if path == "edited-turn":
+        edited, decoded_turns = _edit_a_turn(out / "log.jsonl")
+    committed = (out / "log.jsonl").read_bytes().split(b"\n")[1:-1]
+    sim = Simulation(
+        mini_dataset, load_roles_dir(mini_fixture.roles_dir), provider(), config_by_id(1),
+        seed=0,
+    )
+    sim.restore_checkpoint(out)
+    assert len(sim.entries) == len(committed) == abort_at
+    lines = _LineEncoder().lines(None, sim.entries)
+    assert [line.encode("utf-8") for line in lines] == [line + b"\n" for line in committed]
+
+    # Only the messages that differ from what the restore held were built:
+    # as many as the uninterrupted run holds, and the edited prompt's turns.
+    reference = run_simulation(
+        mini_dataset, load_roles_dir(mini_fixture.roles_dir), provider(), config_by_id(1),
+        seed=0,
+    ).entries[: len(sim.entries)]
+    assert _distinct_messages(sim.entries) == _distinct_messages(reference) + decoded_turns
+    if path == "role-change":
+        assert any(entry.role_updated for entry in sim.entries)
+    if path == "edited-turn":
+        entry = sim.entries[edited]
+        assert entry.prompt[1].content != reference[edited].prompt[1].content
+        assert entry.prompt[2:-1] == reference[edited].prompt[2:-1]
+    # The encoder holds each agent's latest system message and the turns its
+    # next prompt repeats, so the next slot escapes only the new messages.
+    latest = {entry.agent_id: entry.prompt[0] for entry in sim.entries}
+    for agent_id, wm in sim.working_memories.items():
+        held = {id(message) for message, _json in sim._encoder._held[agent_id].values()}
+        shown = [latest[agent_id], *wm.messages[:-2]]
+        assert {id(message) for message in shown} <= held, agent_id
+
+
 def test_fresh_run_replaces_an_earlier_run_directory(
     tmp_path, mini_dataset, mini_fixture, reference_run
 ):
@@ -862,12 +937,18 @@ _JOURNAL = "checkpoint/journal.jsonl: "
          "log.jsonl: line 3 is not the log entry of step 1"),
         ("entry", lambda row: {k: v for k, v in row.items() if k != "move"},
          "log.jsonl: line 3 is not the log entry of step 1"),
+        # The head is the dataset step's: it is compared, not decoded.
+        ("entry", lambda row: {**row, "situation": row["situation"].swapcase()},
+         "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: {"agent_id": row["agent_id"], **row},
+         "log.jsonl: line 3 is not the log entry of step 1"),
     ],
     ids=[
         "header-not-object", "header-without-identity", "record-without-agent",
         "record-of-another-agent", "commit-not-object", "commit-without-keys",
         "commit-log-bytes-not-int", "commit-length-inside-a-line", "entry-not-object",
         "entry-out-of-order", "entry-of-another-agent", "entry-without-a-key",
+        "entry-of-another-situation", "entry-keys-in-another-order",
     ],
 )
 def test_resume_names_the_line_of_the_wrong_shape(
@@ -908,7 +989,21 @@ def _with_message(row: dict, **message) -> dict:
     return {**row, "prompt": [message, *row["prompt"][1:]]}
 
 
+def _with_counts(row: dict, counts: dict) -> dict:
+    """``row`` with its counters replaced by ``counts``."""
+    assert len(row["memory_update_counts"]) == 6  # a memory-enabled step
+    return {**row, "memory_update_counts": counts}
+
+
+def _renamed_counter(row: dict) -> dict:
+    """``row`` with its counter skipped_empty named skipped_emptX."""
+    counts = row["memory_update_counts"]
+    renamed = {"skipped_emptX" if name == "skipped_empty" else name: n for name, n in counts.items()}
+    return _with_counts(row, renamed)
+
+
 _ENTRY = "log.jsonl: line 3 is not the log entry of step 1"
+_FINAL = {"role": "user", "content": "x"}
 _RECORD = _JOURNAL + "line 2 is not a memory record"
 
 
@@ -921,6 +1016,15 @@ _RECORD = _JOURNAL + "line 2 is not a memory record"
         ("entry", lambda row: _with_message(row, role="narrator", content="x"), _ENTRY),
         ("entry", lambda row: _with_message(row, role="system"), _ENTRY),
         ("entry", lambda row: {**row, "response": 5}, _ENTRY),
+        ("entry", _renamed_counter, _ENTRY),
+        ("entry", lambda row: _with_counts(row, {"skipped_empty": "0"}), _ENTRY),
+        ("entry", lambda row: _with_counts(row, {"skipped_empty": 0.0}), _ENTRY),
+        ("entry", lambda row: _with_counts(row, {"skipped_empty": True}), _ENTRY),
+        ("entry", lambda row: _with_counts(row, {"skipped_empty": None}), _ENTRY),
+        ("entry", lambda row: _with_counts(row, ["skipped_empty"]), _ENTRY),
+        ("entry",
+         lambda row: {**row, "prompt": [row["prompt"][0], {"role": "user"}, _FINAL]},
+         _ENTRY),
         ("record", lambda row: {**row, "text": 5}, _RECORD),
         ("record", lambda row: {**row, "slot": 5}, _RECORD),
         ("record", lambda row: {**row, "day": "1"}, _RECORD),
@@ -929,7 +1033,10 @@ _RECORD = _JOURNAL + "line 2 is not a memory record"
     ids=[
         "entry-counts-not-object", "entry-prompt-of-numbers", "entry-prompt-empty",
         "entry-message-of-unknown-role", "entry-message-without-content",
-        "entry-response-not-text", "record-text-not-text", "record-slot-not-text",
+        "entry-response-not-text", "entry-counter-of-unknown-name", "entry-counter-text",
+        "entry-counter-float", "entry-counter-bool", "entry-counter-null",
+        "entry-counters-a-list", "entry-turn-without-content",
+        "record-text-not-text", "record-slot-not-text",
         "record-day-not-int", "record-kind-not-text",
     ],
 )
