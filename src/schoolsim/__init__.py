@@ -9,8 +9,9 @@ LCS-based overlap metric at 5% checkpoints.
 __version__ = "0.1.0"
 
 from .config import BaseStructure, SimulationConfig, config_by_id, config_matrix
-from .embedding import HashedBagEmbedder, cosine
-from .evaluation import CheckpointReport, RougeScore, checkpoints, lcs_length, rouge_l
+from ._kernels import lcs_length
+from .embedding import HashedBagEmbedder
+from .evaluation import CheckpointReport, RougeScore, checkpoints, rouge_l
 from .llm import ChatMessage, GenParams, Provider, Request, ScriptedProvider
 from .memory import MemoryKind, MemoryRecord, MemoryStore, MemoryUpdate, RetrievalPolicy
 from .simulation import (
@@ -45,7 +46,6 @@ __all__ = [
     "checkpoints",
     "config_by_id",
     "config_matrix",
-    "cosine",
     "lcs_length",
     "parse_memory_update",
     "rouge_l",

@@ -196,15 +196,6 @@ class WorkingMemory:
         if len(messages) > 2 * self.window:
             del messages[: len(messages) - 2 * self.window]
 
-    @property
-    def turns(self) -> list[tuple[str, str]]:
-        """The (user, assistant) texts of each turn, oldest first."""
-        pairs = zip(self.messages[::2], self.messages[1::2])
-        return [(user.content, assistant.content) for user, assistant in pairs]
-
-    def __len__(self) -> int:
-        return len(self.messages) // 2
-
 
 def system_message(role: RoleSetting) -> ChatMessage:
     """The system message of a prompt: the serialized role."""

@@ -56,9 +56,6 @@ class AgentTranscript:
     def system(self) -> ChatMessage:
         return self.messages[0]
 
-    def qa_count(self) -> int:
-        return (len(self.messages) - 1) // 2
-
 
 @dataclass(frozen=True)
 class QAPair:
@@ -200,29 +197,6 @@ def load_standard_group(path: str | Path) -> Dataset:
         dataset.steps.extend(_extract_steps(str(file_path), transcript, kind))
     dataset.steps.sort(key=lambda step: (step.time.ordinal, step.agent_id))
     return dataset
-
-
-def take_steps(dataset: Dataset, n: int) -> Dataset:
-    """A new dataset covering only the first ``n`` chronological steps.
-
-    Transcripts are trimmed to the retained turns so replay and digests stay
-    consistent with the truncated step list.
-    """
-    kept = dataset.steps[:n]
-    max_turn: dict[str, int] = {}
-    for step in kept:
-        max_turn[step.agent_id] = max(max_turn.get(step.agent_id, -1), step.turn_index)
-    trimmed = Dataset()
-    for agent_id in dataset.agent_ids:
-        if agent_id not in max_turn:
-            continue
-        transcript = dataset.transcripts[agent_id]
-        trimmed.transcripts[agent_id] = AgentTranscript(
-            agent_id, transcript.messages[: max_turn[agent_id] + 2]
-        )
-        trimmed.kinds[agent_id] = dataset.kinds[agent_id]
-    trimmed.steps = list(kept)
-    return trimmed
 
 
 def summarize(dataset: Dataset) -> DatasetSummary:

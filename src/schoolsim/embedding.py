@@ -1,4 +1,4 @@
-"""Deterministic text embedding and cosine similarity.
+"""Deterministic text embedding.
 
 The reference embedder is a hashed bag-of-tokens: lowercase the text, split
 it into alphanumeric runs, hash each token with a seeded 64-bit hash into one
@@ -18,7 +18,7 @@ from typing import Protocol
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyTextError, ZeroVectorError
+from .errors import EmptyTextError
 
 DEFAULT_DIM = 256
 DEFAULT_SEED = 0
@@ -37,23 +37,6 @@ def split_tokens(text: str) -> list[str]:
     if text.isascii():
         return text.lower().translate(_ASCII_SEPARATORS).split()
     return _TOKEN_RE.findall(text.lower())
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity of two equal-dimension, non-zero vectors.
-
-    Returns a float clipped to [-1, 1]; symmetric in its arguments.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DimensionMismatchError(f"dims differ: {a.shape} vs {b.shape}")
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine undefined for an all-zero vector")
-    value = float(np.dot(a, b)) / (na * nb)
-    return max(-1.0, min(1.0, value))
 
 
 class Embedder(Protocol):

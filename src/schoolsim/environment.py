@@ -110,10 +110,6 @@ class SimTime:
     def day_name(self) -> str:
         return DAY_NAMES[self.day - 1]
 
-    @property
-    def label(self) -> str:
-        return f"Day {self.day}, {self.slot.display}"
-
     def as_dict(self) -> dict:
         return {"day": self.day, "slot": self.slot.label}
 
@@ -138,12 +134,6 @@ class AreaMap:
             if line.strip() and not line.startswith("#")
         ]
         return cls(areas)
-
-    def __len__(self) -> int:
-        return len(self.areas)
-
-    def __contains__(self, name: str) -> bool:
-        return name.lower() in self._lookup
 
     def canonical(self, name: str) -> str:
         try:
@@ -205,12 +195,6 @@ class Timetable:
                     raise ValueError(f"{class_id}: unknown subject {subject!r}")
                 grid[(day, period)] = subject
         return cls(class_id, grid)
-
-    def subject_counts(self) -> dict[str, int]:
-        counts = {s: 0 for s in TEACHER_SUBJECTS}
-        for subject in self.grid.values():
-            counts[subject] += 1
-        return counts
 
     def subject_at(self, day: str, period: int) -> str:
         return self.grid[(day, period)]
@@ -281,7 +265,8 @@ class ActionCategory(Enum):
         self.role = role
 
 
-# "Other Guidance" is the statistics-table spelling of the Guidance category.
+# "Other Guidance" is a second name of the Guidance category; a footer may
+# use either.
 _ACTION_ALIASES = {"other guidance": ActionCategory.GUIDANCE}
 
 

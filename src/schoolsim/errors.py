@@ -7,19 +7,11 @@ class SchoolSimError(Exception):
     """Base class for all package-specific errors."""
 
 
-# Text / vector errors
+# Text errors
 
 
 class EmptyTextError(SchoolSimError):
     """Raised when an operation requires non-empty text."""
-
-
-class DimensionMismatchError(SchoolSimError):
-    """Raised when two vectors of different dimensionality are combined."""
-
-
-class ZeroVectorError(SchoolSimError):
-    """Raised when cosine similarity is requested for an all-zero vector."""
 
 
 # Memory store errors

@@ -24,7 +24,7 @@ import math
 import random
 import re
 import unicodedata
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -102,16 +102,6 @@ def tokenize(text: str) -> list[str]:
     return list(_tokens(text))
 
 
-def lcs_length(x: str | Sequence[str], y: str | Sequence[str]) -> int:
-    """Longest common subsequence length of two token sequences.
-
-    Each side is a list of tokens or a ``str``, which is read as the
-    sequence of its characters, the form ``_tokens`` gives for text whose
-    tokens are all one character.
-    """
-    return _kernels.lcs_length(x, y)
-
-
 @dataclass(frozen=True)
 class RougeScore:
     lcs_len: int
@@ -181,16 +171,6 @@ class CheckpointReport:
     mean_f: list[float]
     counts: list[int]
     beta: float = DEFAULT_BETA
-
-    def as_dict(self) -> dict:
-        return {
-            "config_id": self.config_id,
-            "interval_percent": self.interval_percent,
-            "percents": self.percents,
-            "mean_f": self.mean_f,
-            "counts": self.counts,
-            "beta": self.beta,
-        }
 
 
 def score_responses(

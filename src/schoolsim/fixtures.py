@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .agent import TEACHER_SUBJECTS, RoleKind, RoleSetting, save_role, serialize_role
-from .dataset import Dataset, load_standard_group
 from .environment import (
     SimTime,
     Slot,
@@ -387,10 +386,6 @@ def _partner_for(
         return pool[0]
     offset = 1 + step % (len(pool) - 1)
     return pool[(index + offset) % len(pool)]
-
-
-def load_fixture_dataset(root: str | Path) -> Dataset:
-    return load_standard_group(Path(root) / AGENTS_DIRNAME)
 
 
 class MemoryGatedProvider(Provider):

@@ -7,10 +7,11 @@ gets retrieval priority. Records are never duplicated between tiers.
 
 Retrieval ranking rules (mirrored exactly by the brute-force test oracle):
 
-* similarity is the canonical cosine of the query embedding and the record
-  embedding; a record qualifies when similarity is strictly above
-  ``min_similarity``. ``retrieve`` evaluates cosine's own expression for
-  all records at once: one ``np.vecdot`` of the store's embedding rows with
+* similarity is the cosine of the query embedding and the record
+  embedding, as the oracle's ``cosine`` in ``tests/retrieval_oracle.py``
+  writes it; a record qualifies when similarity is strictly above
+  ``min_similarity``. ``retrieve`` evaluates that expression for all
+  records at once: one ``np.vecdot`` of the store's embedding rows with
   the query (one per block of ``BLOCK_ROWS`` rows), whose float64 loop
   sends each row through the same BLAS ``ddot`` that ``np.dot`` calls,
   then the cached norms, the division and the clip elementwise, which IEEE
@@ -168,9 +169,6 @@ class MemoryStore:
             return len(self._records)
         return sum(1 for r in self._records if r.kind is kind)
 
-    def get(self, record_id: int) -> MemoryRecord:
-        return self._records[record_id]
-
     # Mutations
 
     def insert(
@@ -311,7 +309,8 @@ class MemoryStore:
             np.vecdot(
                 block[: n - start], query_vec, out=dots[start : start + BLOCK_ROWS]
             )
-        # embedding.cosine's expression, operand for operand.
+        # The oracle's cosine expression (tests/retrieval_oracle.py), operand
+        # for operand.
         query_norm = math.sqrt(query_vec.dot(query_vec))
         sims = np.clip(dots / (query_norm * self._norms[:n]), -1.0, 1.0)
         # Ids in (-similarity, id) order: a stable sort keeps equal

@@ -174,8 +174,9 @@ class _LineEncoder:
     write the entry's fields, with its time and messages as dicts.
 
     A line is its step's :meth:`head`, the JSON of its prompt's messages
-    (:meth:`messages`) and then the members after the prompt. The restore
-    asks for the same head and messages to compare a committed line with.
+    (:meth:`messages`) and then its :meth:`tail`, the members after the
+    prompt. The restore asks for the same head and messages to compare a
+    committed line with, and decodes the rest with :meth:`rest`.
 
     A prompt repeats most of its agent's previous prompt: the system message
     and every working-memory turn but the newest. So the encoder keeps the
@@ -196,8 +197,7 @@ class _LineEncoder:
         for entry in entries:
             head = self.head(entry.step_index, entry.agent_id, entry.time, entry.situation)
             messages = ", ".join(self.messages(entry.agent_id, entry.prompt))
-            tail = ", ".join([key + self._value(getattr(entry, name)) for name, key in _TAIL_FIELDS])
-            yield f"{head}{messages}], {tail}}}\n"
+            yield f"{head}{messages}{self.tail(vars(entry))}"
 
     def head(self, step_index: int, agent_id: str, time: SimTime, situation: str) -> str:
         """The line of a step up to its prompt's first message."""
@@ -226,6 +226,35 @@ class _LineEncoder:
             texts.append(pair[1])
         return texts
 
+    def tail(self, values: dict) -> str:
+        """The end of a line from the prompt's closing bracket on, given the
+        value of each field after the prompt by name."""
+        members = ", ".join([key + self._value(values[name]) for name, key in _TAIL_FIELDS])
+        return f"], {members}}}\n"
+
+    def rest(self, line: bytes, at: int) -> dict:
+        """The members of a log ``line`` from its prompt's message at ``at``
+        on, with ``prompt`` holding the messages from there.
+
+        The members after the prompt must be the :meth:`tail` the encoder
+        writes for their values: in order, spaced and escaped as it writes
+        them. So the resumed log re-encodes to the bytes the manifest's
+        digest covers.
+        """
+        text = str(line[at:], "utf-8")
+        prompt = []
+        end = 0
+        while True:
+            message, end = _JSON_DECODER.raw_decode(text, end)
+            prompt.append(message)
+            if not text.startswith(", ", end):
+                break
+            end += 2
+        members = _JSON_DECODER.raw_decode("{" + text[end + 3 :])[0]
+        if text[end:] != self.tail(members):
+            raise ValueError("not the members the encoder writes")
+        return {"prompt": prompt, **members}
+
     def _value(self, value) -> str:
         if type(value) is str:
             return encode_basestring(value)
@@ -236,12 +265,6 @@ class _LineEncoder:
         if type(value) is bool:
             return "true" if value else "false"
         return self._encode(value)
-
-
-def load_log(path: str | Path) -> tuple[dict, list[dict]]:
-    """Read a log file back as (meta, raw entry dicts)."""
-    meta, *entries = iter_log(path)
-    return meta, entries
 
 
 def iter_log(path: str | Path) -> Iterator[dict]:
@@ -530,9 +553,12 @@ class Simulation:
         out_path = Path(out_dir)
         ckpt = out_path / CHECKPOINT_DIRNAME
         # A resumed run appends to the files restore_checkpoint cut back; a
-        # fresh one starts them, dropping any earlier checkpoint.
+        # fresh one starts them, dropping any earlier checkpoint and manifest,
+        # so a crash before its own manifest leaves none that vouches for
+        # another run's log.
         mode = "ab" if self._log_bytes else "wb"
         if mode == "wb":
+            (out_path / MANIFEST_FILENAME).unlink(missing_ok=True)
             shutil.rmtree(ckpt, ignore_errors=True)
             ckpt.mkdir(parents=True)
         with (
@@ -614,10 +640,14 @@ class Simulation:
         self._append_log()
         self._log_file.flush()
         manifest = self.manifest(status, out_path)
-        (out_path / MANIFEST_FILENAME).write_text(
+        # Written whole and then moved into place, so a crash leaves the old
+        # manifest or the new one, never a torn one.
+        temporary = out_path / f"{MANIFEST_FILENAME}.tmp"
+        temporary.write_text(
             json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n",
             encoding="utf-8",
         )
+        os.replace(temporary, out_path / MANIFEST_FILENAME)
 
     def _append_log(self) -> None:
         """Append the entries not yet in log.jsonl, after its meta line."""
@@ -838,9 +868,9 @@ class Simulation:
             held = self._encoder.messages(agent_id, [system, *turns])
         known = ", ".join(["", *held[1:], ""]).encode("utf-8")
         if line.startswith(known, at):
-            raw = _decoded_rest(line, at + len(known))
+            raw = self._encoder.rest(line, at + len(known))
         elif line.startswith(b", ", at):  # turns working memory does not hold
-            raw = _decoded_rest(line, at + 2)
+            raw = self._encoder.rest(line, at + 2)
             turns = []
         else:
             raise ValueError("not a list of messages")
@@ -899,16 +929,6 @@ def _parse_lines(path: Path, first: int, lines: list[bytes]) -> list:
         return json.loads(b"[" + b",".join(lines) + b"]")
     except ValueError:
         return [_parse_line(path, first + i, line) for i, line in enumerate(lines)]
-
-
-def _decoded_rest(line: bytes, at: int) -> dict:
-    """The members of a log ``line`` from its prompt's message at ``at`` on,
-    as an object whose ``prompt`` holds the messages from there."""
-    text = '{"prompt": [' + str(line[at:], "utf-8")
-    rest, end = _JSON_DECODER.raw_decode(text)
-    if text[end:].strip(" \t\n\r"):  # only JSON whitespace may follow
-        raise ValueError("not one JSON object")
-    return rest
 
 
 def _wrong_shape(path: Path, number: int, what: str) -> ValueError:

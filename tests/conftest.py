@@ -8,13 +8,9 @@ from hypothesis import settings
 
 from schoolsim.agent import load_role
 from schoolsim.config import config_by_id
+from schoolsim.dataset import load_standard_group
 from schoolsim.evaluation import evaluate_run
-from schoolsim.fixtures import (
-    FixturePaths,
-    MemoryGatedProvider,
-    build_fixture,
-    load_fixture_dataset,
-)
+from schoolsim.fixtures import FixturePaths, MemoryGatedProvider, build_fixture
 from schoolsim.simulation import run_simulation
 
 # CI runs the property tests with ``--hypothesis-profile=ci``: the same
@@ -35,7 +31,7 @@ def mini_fixture(tmp_path_factory) -> FixturePaths:
 
 @pytest.fixture(scope="session")
 def mini_dataset(mini_fixture):
-    return load_fixture_dataset(mini_fixture.root)
+    return load_standard_group(mini_fixture.agents_dir)
 
 
 @pytest.fixture()
@@ -57,7 +53,7 @@ def full_fixture(tmp_path_factory) -> FixturePaths:
 
 @pytest.fixture(scope="session")
 def full_dataset(full_fixture):
-    return load_fixture_dataset(full_fixture.root)
+    return load_standard_group(full_fixture.agents_dir)
 
 
 @pytest.fixture(scope="session")

@@ -2,14 +2,33 @@
 
 Re-implements the documented ranking rules with plain loops and sorted
 lists, independently of MemoryStore.retrieve's code path. Similarities come
-from the same canonical cosine so "equal" means exactly equal.
+from :func:`cosine`, the expression ``retrieve`` evaluates for all records
+at once, so "equal" means exactly equal.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from schoolsim.config import BaseStructure
-from schoolsim.embedding import cosine
 from schoolsim.memory import MemoryKind, MemoryStore, RetrievalPolicy
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity of two equal-dimension, non-zero vectors.
+
+    Returns a float clipped to [-1, 1]; symmetric in its arguments.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dims differ: {a.shape} vs {b.shape}")
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        raise ValueError("cosine undefined for an all-zero vector")
+    value = float(np.dot(a, b)) / (na * nb)
+    return max(-1.0, min(1.0, value))
 
 
 def _top(pairs: list[tuple[int, float]], limit: int) -> list[tuple[int, float]]:
@@ -39,12 +58,12 @@ def oracle_retrieve(
             exp = [
                 (rid, sims[rid])
                 for rid in pool
-                if store.get(rid).kind is MemoryKind.EXPERIENCE
+                if store.records[rid].kind is MemoryKind.EXPERIENCE
             ]
             kn = [
                 (rid, sims[rid])
                 for rid in pool
-                if store.get(rid).kind is MemoryKind.KNOWLEDGE
+                if store.records[rid].kind is MemoryKind.KNOWLEDGE
             ]
             merged = _top(exp, budget - budget // 2) + _top(kn, budget // 2)
             return sorted(merged, key=lambda p: (-p[1], p[0]))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -18,9 +19,11 @@ from conftest import load_roles_dir
 from retrieval_oracle import oracle_retrieve
 from test_kernels import oracle_lcs
 
+from schoolsim import lcs_length
+from schoolsim.agent import TEACHER_SUBJECTS
 from schoolsim.cli import main as cli_main
 from schoolsim.config import config_by_id, config_matrix
-from schoolsim.dataset import take_steps
+from schoolsim.dataset import load_standard_group
 from schoolsim.embedding import HashedBagEmbedder
 from schoolsim.environment import SimTime, load_default_timetables
 from schoolsim.errors import (
@@ -29,7 +32,7 @@ from schoolsim.errors import (
     NoJsonFoundError,
     WrongTypeError,
 )
-from schoolsim.evaluation import checkpoints, evaluate_run, lcs_length, rouge_l
+from schoolsim.evaluation import checkpoints, evaluate_run, rouge_l
 from schoolsim.evaluation import export_human_eval_sample, recover_tallies
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture
 from schoolsim.llm import ScriptedProvider
@@ -125,15 +128,17 @@ def test_criterion_03_retrieval_oracle_equivalence():
     )
 
 
-def test_criterion_04_config_gating(tmp_path, full_dataset, full_fixture):
-    sliced = take_steps(full_dataset, 100)
+def test_criterion_04_config_gating(tmp_path):
+    # Ten agents over two days: 100 steps.
+    paths = build_fixture(tmp_path / "fixture", teachers=2, students=8, days=2, seed=0)
+    dataset = load_standard_group(paths.agents_dir)
     violations = []
     for config in config_matrix():
         out = tmp_path / f"config-{config.id}"
         run_simulation(
-            sliced,
-            load_roles_dir(full_fixture.roles_dir),
-            MemoryGatedProvider.from_file(full_fixture.script_path),
+            dataset,
+            load_roles_dir(paths.roles_dir),
+            MemoryGatedProvider.from_file(paths.script_path),
             config,
             seed=0,
             out_dir=out,
@@ -245,8 +250,8 @@ def test_criterion_09_timetable_invariants():
     tables = load_default_timetables()
     ok = len(tables) == 2
     for table in tables.values():
-        counts = table.subject_counts()
-        ok = ok and set(counts.values()) == {5} and len(table.grid) == 25
+        counts = Counter(table.grid.values())
+        ok = ok and counts == dict.fromkeys(TEACHER_SUBJECTS, 5) and len(table.grid) == 25
     check("criterion 9: shipped timetables cover all cells, five per subject", ok)
 
 

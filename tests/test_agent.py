@@ -43,7 +43,7 @@ def test_working_memory_sliding_window():
     wm.append_turn("u1", "a1")
     wm.append_turn("u2", "a2")
     wm.append_turn("u3", "a3")
-    assert wm.turns == [("u2", "a2"), ("u3", "a3")]
+    assert [m.content for m in wm.messages] == ["u2", "a2", "u3", "a3"]
 
 
 def test_working_memory_rejects_empty():
@@ -58,7 +58,9 @@ def test_working_memory_preserves_order():
     wm = WorkingMemory()
     wm.append_turn("A", "ra")
     wm.append_turn("B", "rb")
-    assert [u for u, _ in wm.turns] == ["A", "B"]
+    assert [(m.role, m.content) for m in wm.messages] == [
+        ("user", "A"), ("assistant", "ra"), ("user", "B"), ("assistant", "rb")
+    ]
 
 
 @settings(max_examples=50, deadline=None)
@@ -67,7 +69,7 @@ def test_working_memory_never_exceeds_window(turns, window):
     wm = WorkingMemory(window=window)
     for u, a in turns:
         wm.append_turn(u, a)
-    assert len(wm) <= window
+    assert len(wm.messages) <= 2 * window
 
 
 def test_prompt_with_empty_history_and_no_memories():

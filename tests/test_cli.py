@@ -15,7 +15,7 @@ from schoolsim.config import config_by_id
 from schoolsim.dataset import Dataset, load_standard_group
 from schoolsim.fixtures import MemoryGatedProvider, build_fixture
 from schoolsim.llm import HttpProvider
-from schoolsim.simulation import load_log, run_simulation
+from schoolsim.simulation import iter_log, run_simulation
 from schoolsim.prompts import ROLE_GENERATION_TEACHER
 
 
@@ -284,7 +284,7 @@ def test_log_responses_keep_only_the_meta_and_the_responses(
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    expected_meta, entries = load_log(path)
+    expected_meta, *entries = iter_log(path)
     assert (meta, responses) == (expected_meta, [entry["response"] for entry in entries])
     # Reading the whole log at once peaked near three times its size.
     assert peak < 0.5 * path.stat().st_size

@@ -9,7 +9,6 @@ from schoolsim.dataset import (
     load_standard_group,
     parse_action_footer,
     summarize,
-    take_steps,
 )
 from schoolsim.environment import ActionCategory
 from schoolsim.errors import AlternationError, MissingSystemError, SchemaError
@@ -139,12 +138,3 @@ def test_empty_dataset_summary(tmp_path):
     stats = summarize(dataset)
     assert stats.qa_count == 0
     assert sum(stats.agent_counts.values()) == 0
-
-
-def test_take_steps_consistency(full_dataset):
-    sliced = take_steps(full_dataset, 100)
-    assert sliced.qa_count == 100
-    assert [s.user for s in sliced.steps] == [s.user for s in full_dataset.steps[:100]]
-    for agent_id, transcript in sliced.transcripts.items():
-        assert transcript.messages[0].role == "system"
-        assert len(transcript.messages) % 2 == 1

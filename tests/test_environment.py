@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
-from schoolsim.agent import RoleKind
+from schoolsim.agent import TEACHER_SUBJECTS, RoleKind
 from schoolsim.environment import (
     ActionCategory,
     AreaMap,
@@ -66,7 +68,7 @@ def test_slot_from_label_matches_a_scan_of_every_slot():
 
 def test_each_subject_exactly_five_times_per_class(timetables):
     for table in timetables.values():
-        assert set(table.subject_counts().values()) == {5}
+        assert Counter(table.grid.values()) == dict.fromkeys(TEACHER_SUBJECTS, 5)
 
 
 def test_full_cell_coverage(timetables):
@@ -83,8 +85,8 @@ def test_calendar_has_fifty_slots_in_order():
 
 def test_area_map_has_twenty_five_connected_areas():
     area_map = AreaMap.default()
-    assert len(area_map) == 25
-    assert "Library" in area_map
+    assert len(area_map.areas) == 25
+    assert area_map.canonical("library") == "Library"
 
 
 def test_move_agent_updates_location_and_log():

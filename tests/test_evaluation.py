@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import load_roles_dir
 from schoolsim.config import config_by_id
-from schoolsim import _kernels
+from schoolsim import _kernels, lcs_length
 from schoolsim.errors import LengthMismatchError
 from schoolsim.evaluation import (
     CheckpointReport,
@@ -23,7 +23,6 @@ from schoolsim.evaluation import (
     checkpoints,
     evaluate_run,
     export_human_eval_sample,
-    lcs_length,
     recover_tallies,
     render_matrix_report,
     rouge_l,

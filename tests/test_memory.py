@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from retrieval_oracle import oracle_retrieve
+from retrieval_oracle import cosine, oracle_retrieve
 from schoolsim.config import config_by_id
-from schoolsim.embedding import HashedBagEmbedder, cosine
+from schoolsim.embedding import HashedBagEmbedder
 from schoolsim.environment import SimTime, Slot
 from schoolsim.errors import (
     EmptyTextError,
@@ -179,9 +179,9 @@ def test_apply_update_counts_and_routing():
     assert store.long_term_size(MemoryKind.EXPERIENCE) == 2
     assert store.long_term_size(MemoryKind.KNOWLEDGE) == 2
     assert len(store.short_term_ids) == 1
-    st_record = store.get(store.short_term_ids[0])
+    st_record = store.records[store.short_term_ids[0]]
     assert st_record.salience == 1.0
-    assert store.get(0).salience == 0.5
+    assert store.records[0].salience == 0.5
 
 
 def test_apply_update_empty_lists_is_noop():
@@ -387,11 +387,11 @@ def test_similarities_equal_cosine_at_every_block_boundary(dim, size):
 
 def test_record_embeddings_are_read_only_views_that_never_move():
     store = _store_of_size(16, 1)
-    first = store.get(0).embedding
+    first = store.records[0].embedding
     expected = first.tobytes()
     for i in range(2 * BLOCK_ROWS):
         store.insert(MemoryKind.KNOWLEDGE, f"word{i % 12} fact {i}", T0)
-    assert store.get(0).embedding is first
+    assert store.records[0].embedding is first
     assert first.tobytes() == expected
     for record in store.records:
         assert not record.embedding.flags.writeable

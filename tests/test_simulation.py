@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import builtins
 import dataclasses
+import hashlib
 import json
 import re
 import shutil
@@ -17,7 +18,7 @@ import pytest
 from conftest import load_roles_dir
 from schoolsim.agent import serialize_role
 from schoolsim.config import config_by_id, config_matrix
-from schoolsim.dataset import load_standard_group, take_steps
+from schoolsim.dataset import load_standard_group
 from schoolsim.environment import Slot, format_situation_header, parse_situation_header
 from schoolsim.errors import (
     MissingFieldError,
@@ -27,7 +28,7 @@ from schoolsim.errors import (
     WrongTypeError,
 )
 from schoolsim.embedding import HashedBagEmbedder, shared_embedder
-from schoolsim.fixtures import MemoryGatedProvider, build_fixture, load_fixture_dataset
+from schoolsim.fixtures import MemoryGatedProvider, build_fixture
 from schoolsim.llm import (
     ChatMessage,
     GenParams,
@@ -42,7 +43,7 @@ from schoolsim.simulation import (
     ReplayBundle,
     Simulation,
     _LineEncoder,
-    load_log,
+    iter_log,
     parse_memory_update,
     run_simulation,
 )
@@ -74,7 +75,18 @@ def test_memory_update_parse_contract(case):
 def _run(dataset, fixture, config_id, provider=None, **kwargs):
     roles = load_roles_dir(fixture.roles_dir)
     provider = provider or MemoryGatedProvider.from_file(fixture.script_path)
-    return run_simulation(dataset, roles, provider, config_by_id(config_id), **kwargs)
+    log = run_simulation(dataset, roles, provider, config_by_id(config_id), **kwargs)
+    if kwargs.get("resume"):
+        _assert_digests_agree(kwargs["out_dir"], log)
+    return log
+
+
+def _assert_digests_agree(out: Path, log) -> None:
+    """The manifest certifies the bytes of log.jsonl, and the log re-encodes
+    to those bytes."""
+    manifest = json.loads((out / "manifest.json").read_text("utf-8"))
+    written = hashlib.sha256((out / "log.jsonl").read_bytes()).hexdigest()
+    assert log.digest() == manifest["log_digest"] == written
 
 
 def test_no_memory_config_never_touches_the_store(mini_dataset, mini_fixture):
@@ -241,6 +253,7 @@ def test_abort_leaves_resumable_checkpoint(tmp_path, mini_dataset, mini_fixture)
         resume=True,
     )
     assert resumed.to_jsonl() == reference.to_jsonl()
+    _assert_digests_agree(out, resumed)
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "completed"
     assert manifest["completed_steps"] == mini_dataset.qa_count
@@ -264,13 +277,15 @@ class _AbortAtAction(Provider):
 
 
 class _AbortAt(Provider):
-    """``inner``, raising at its request number ``abort_at`` (from 0) of ``kind``."""
+    """``inner``, raising ``error`` at its request number ``abort_at`` (from
+    0) of ``kind``."""
 
-    def __init__(self, inner: Provider, kind: str, abort_at: int):
+    def __init__(self, inner: Provider, kind: str, abort_at: int, error=ProviderError):
         self.inner = inner
         self.name = inner.name
         self.kind = kind
         self.abort_at = abort_at
+        self.error = error
         self.seen = 0
 
     def complete(self, messages, params=None):
@@ -279,7 +294,7 @@ class _AbortAt(Provider):
     def respond(self, request, params=None):
         if request.kind == self.kind:
             if self.seen == self.abort_at:
-                raise ProviderError("synthetic outage")
+                raise self.error("synthetic outage")
             self.seen += 1
         return self.inner.respond(request, params)
 
@@ -642,6 +657,36 @@ def test_every_restored_entry_re_encodes_to_its_committed_line(
         assert {id(message) for message in shown} <= held, agent_id
 
 
+def test_a_crash_in_a_fresh_run_leaves_no_stale_completed_manifest(
+    mini_dataset, mini_fixture, reference_run
+):
+    # _run does not catch KeyboardInterrupt, so it stands in for a hard crash
+    # of a config-9 run into the directory of a completed config-1 run.
+    inner = MemoryGatedProvider.from_file(mini_fixture.script_path)
+    provider = _AbortAt(inner, "action", 8, error=KeyboardInterrupt)
+    with pytest.raises(KeyboardInterrupt):
+        _run(mini_dataset, mini_fixture, 9, provider=provider, seed=0, out_dir=reference_run)
+    assert next(iter_log(reference_run / "log.jsonl"))["config"]["id"] == 9
+    manifest = reference_run / "manifest.json"
+    if manifest.exists():
+        saved = json.loads(manifest.read_text("utf-8"))
+        written = hashlib.sha256((reference_run / "log.jsonl").read_bytes()).hexdigest()
+        assert saved["status"] != "completed" or saved["log_digest"] == written
+
+
+def test_a_manifest_is_replaced_whole(monkeypatch, mini_dataset, mini_fixture, reference_run):
+    # A crash before the new manifest is moved into place leaves the old one.
+    before = (reference_run / "manifest.json").read_bytes()
+
+    def crash(source, target):
+        raise OSError("crash before the rename")
+
+    monkeypatch.setattr("schoolsim.simulation.os.replace", crash)
+    with pytest.raises(OSError, match="crash before the rename"):
+        _run(mini_dataset, mini_fixture, 1, seed=0, out_dir=reference_run, resume=True)
+    assert (reference_run / "manifest.json").read_bytes() == before
+
+
 def test_fresh_run_replaces_an_earlier_run_directory(
     tmp_path, mini_dataset, mini_fixture, reference_run
 ):
@@ -654,7 +699,9 @@ def test_fresh_run_replaces_an_earlier_run_directory(
 @pytest.mark.parametrize(
     "field", ["seed", "params", "provider", "config", "dataset_digest"]
 )
-def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_run, field):
+def test_resume_refuses_a_different_run(
+    tmp_path, mini_dataset, mini_fixture, reference_run, field
+):
     dataset, config_id, kwargs = mini_dataset, 1, {"seed": 0}
     provider = MemoryGatedProvider.from_file(mini_fixture.script_path)
     if field == "seed":
@@ -671,7 +718,9 @@ def test_resume_refuses_a_different_run(mini_dataset, mini_fixture, reference_ru
     elif field == "config":
         config_id = 2
     else:
-        dataset = take_steps(mini_dataset, 6)
+        # The mini fixture's first day only.
+        paths = build_fixture(tmp_path / "day-one", teachers=2, students=4, days=1, seed=0)
+        dataset = load_standard_group(paths.agents_dir)
     before = _run_dir_files(reference_run)
     with pytest.raises(ValueError, match=f"different {field}"):
         _run(
@@ -942,6 +991,13 @@ _JOURNAL = "checkpoint/journal.jsonl: "
          "log.jsonl: line 3 is not the log entry of step 1"),
         ("entry", lambda row: {"agent_id": row["agent_id"], **row},
          "log.jsonl: line 3 is not the log entry of step 1"),
+        # The members after the prompt are compared as the encoder spells them.
+        ("entry", lambda row: {**_without(row, "response"), "response": row["response"]},
+         "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: _dumps(row).replace(b', "move": ', b',  "move":'),
+         "log.jsonl: line 3 is not the log entry of step 1"),
+        ("entry", lambda row: _escaped_first_character(row, b'"response": "'),
+         "log.jsonl: line 3 is not the log entry of step 1"),
     ],
     ids=[
         "header-not-object", "header-without-identity", "record-without-agent",
@@ -949,6 +1005,7 @@ _JOURNAL = "checkpoint/journal.jsonl: "
         "commit-log-bytes-not-int", "commit-length-inside-a-line", "entry-not-object",
         "entry-out-of-order", "entry-of-another-agent", "entry-without-a-key",
         "entry-of-another-situation", "entry-keys-in-another-order",
+        "entry-tail-reordered", "entry-tail-re-spaced", "entry-tail-re-escaped",
     ],
 )
 def test_resume_names_the_line_of_the_wrong_shape(
@@ -958,22 +1015,50 @@ def test_resume_names_the_line_of_the_wrong_shape(
     _refused_resume(mini_dataset, mini_fixture, reference_run, line, edit, error)
 
 
+def _without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
+
+
+def _dumps(value) -> bytes:
+    """``value`` as a log or journal line spells it."""
+    return json.dumps(value, ensure_ascii=False).encode("utf-8")
+
+
+def _escaped_first_character(row: dict, member: bytes) -> bytes:
+    """The line of ``row`` with the first character of the string after
+    ``member`` written as a ``\\u`` escape: the same JSON value, spelled
+    otherwise."""
+    line = _dumps(row)
+    at = line.index(member) + len(member)
+    return line[:at] + b"\\u%04x" % line[at] + line[at + 1 :]
+
+
+def _last_commit(lines: list[bytes]) -> int:
+    return max(i for i, text in enumerate(lines) if text.startswith(b'{"commit": '))
+
+
 def _refused_resume(mini_dataset, mini_fixture, reference_run, line, edit, error):
     """Edit one line of ``reference_run`` and check that a resume names it.
 
-    A log line keeps its length, padded with blanks, so the committed length
-    still ends a line.
+    ``edit`` gives the new line's value, or its bytes. When a log line
+    changes its length, the last commit counts the new length, so the
+    committed length still ends a line.
     """
-    path = reference_run / ("log.jsonl" if line == "entry" else "checkpoint/journal.jsonl")
+    journal = reference_run / "checkpoint/journal.jsonl"
+    path = reference_run / "log.jsonl" if line == "entry" else journal
     lines = path.read_bytes().split(b"\n")
     if line == "commit":
-        index = max(i for i, text in enumerate(lines) if text.startswith(b'{"commit": '))
+        index = _last_commit(lines)
     else:
         index = {"header": 0, "record": 1, "entry": 2}[line]
-    new = json.dumps(edit(json.loads(lines[index])), ensure_ascii=False).encode("utf-8")
+    new = edit(json.loads(lines[index]))
+    new = new if isinstance(new, bytes) else _dumps(new)
     if line == "entry":
-        assert len(new) <= len(lines[index])
-        new = new.ljust(len(lines[index]))
+        rows = journal.read_bytes().split(b"\n")
+        commit = json.loads(rows[_last_commit(rows)])
+        commit["commit"]["log_bytes"] += len(new) - len(lines[index])
+        rows[_last_commit(rows)] = json.dumps(commit, ensure_ascii=False, sort_keys=True).encode()
+        journal.write_bytes(b"\n".join(rows))
     lines[index] = new
     path.write_bytes(b"\n".join(lines))
     files = _run_dir_files(reference_run)
@@ -1372,7 +1457,7 @@ def test_aborted_manifest_counts_the_logged_steps(tmp_path, mini_dataset, mini_f
     with pytest.raises(ProviderError):
         _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
     manifest = json.loads((out / "manifest.json").read_text("utf-8"))
-    _meta, entries = load_log(out / "log.jsonl")
+    _meta, *entries = iter_log(out / "log.jsonl")
     assert manifest["status"] == "aborted"
     assert len(entries) == manifest["completed_steps"] == committed
     counters = _run_counters(entries)
@@ -1435,7 +1520,7 @@ def test_line_separators_in_text_survive_log_and_resume(tmp_path, mini_dataset, 
     provider = ScriptedProvider({}, fallback=answer)
     out = tmp_path / "run"
     log = _run(mini_dataset, mini_fixture, 1, provider=provider, seed=0, out_dir=out)
-    _meta, entries = load_log(out / "log.jsonl")
+    _meta, *entries = iter_log(out / "log.jsonl")
     assert [entry["response"] for entry in entries] == log.responses()
     sim = Simulation(
         mini_dataset,
@@ -1450,12 +1535,14 @@ def test_line_separators_in_text_survive_log_and_resume(tmp_path, mini_dataset, 
     assert records and all(r.text == text for r in records)
 
 
-def test_manifest_counters_reflect_config_gating(tmp_path, full_dataset, full_fixture):
-    sliced = take_steps(full_dataset, 50)
-    roles = load_roles_dir(full_fixture.roles_dir)
-    provider = MemoryGatedProvider.from_file(full_fixture.script_path)
+def test_manifest_counters_reflect_config_gating(tmp_path):
+    # Ten agents over one day: 50 steps.
+    paths = build_fixture(tmp_path / "fixture", teachers=2, students=8, days=1, seed=0)
+    dataset = load_standard_group(paths.agents_dir)
+    roles = load_roles_dir(paths.roles_dir)
+    provider = MemoryGatedProvider.from_file(paths.script_path)
     out = tmp_path / "gated"
-    run_simulation(sliced, roles, provider, config_by_id(3), seed=0, out_dir=out)
+    run_simulation(dataset, roles, provider, config_by_id(3), seed=0, out_dir=out)
     manifest = json.loads((out / "manifest.json").read_text())
     counters = manifest["counters"]
     assert counters["retrieve_calls"] == 50
@@ -1467,7 +1554,7 @@ def test_manifest_counters_reflect_config_gating(tmp_path, full_dataset, full_fi
 def test_log_file_roundtrip(tmp_path, mini_dataset, mini_fixture):
     out = tmp_path / "run"
     log = _run(mini_dataset, mini_fixture, 2, seed=1, out_dir=out)
-    meta, entries = load_log(out / "log.jsonl")
+    meta, *entries = iter_log(out / "log.jsonl")
     assert meta["config"]["id"] == 2
     assert len(entries) == len(log.entries)
     assert entries[0]["response"] == log.entries[0].response
@@ -1508,7 +1595,7 @@ MATRIX_DIGESTS = {
 
 def test_matrix_log_digests_are_pinned(tmp_path):
     paths = build_fixture(tmp_path, teachers=2, students=4, days=5, seed=0)
-    dataset = load_fixture_dataset(paths.root)
+    dataset = load_standard_group(paths.agents_dir)
     digests = {
         cfg.id: run_simulation(
             dataset,
@@ -1527,7 +1614,7 @@ def test_matrix_digests_hold_in_any_order_beside_other_embedders(tmp_path):
     # order of the runs nor another embedder that embedded the same texts
     # first may change a digest.
     paths = build_fixture(tmp_path, teachers=2, students=4, days=5, seed=0)
-    dataset = load_fixture_dataset(paths.root)
+    dataset = load_standard_group(paths.agents_dir)
     other = HashedBagEmbedder(dim=64, seed=3)
     for step in dataset.steps:
         other.embed(step.user)
